@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: validate, modulus, geometry, export-mesh. Exit codes: 0 success,
-1 mathematical failure (validation or tolerance), 2 usage or I/O error.
+1 mathematical failure (validation, or any check a command ran), 2 usage or
+I/O error.
 """
 
 from __future__ import annotations
@@ -9,12 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
 
-from . import curves as curves_mod
 from . import modulus as modulus_mod
 from . import surface as surface_mod
 from .profiles import ValidationError, catalog, parse_profile, validate
@@ -29,6 +28,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_CURVES = 200
 DEFAULT_RESOLUTION = 1024
 DEFAULT_SEED = 0
+ORACLE_DEV_TOL = 1e-6  # largest relative deviation of the oracle from uniform
 
 
 class UsageError(Exception):
@@ -112,6 +112,7 @@ def cmd_modulus(args) -> int:
         oracle_bins=64 if args.oracle else 0,
         tol=min(args.tol, 1e-9),
     )
+    adm, oracle = report.get("admissibility"), report.get("oracle")
     if args.json:
         _header(args, out=sys.stderr)
         print(json.dumps(report))
@@ -121,17 +122,22 @@ def cmd_modulus(args) -> int:
                 ("analytic", f"{report['analytic']:.12g}"),
                 ("numeric", f"{report['numeric']:.12g}"),
                 ("rel_err", f"{report['rel_err']:.3e}")]
-        if "admissibility" in report:
-            adm = report["admissibility"]
+        if adm is not None:
             rows += [("admissibility n", str(adm["n"])),
                      ("admissibility min", f"{adm['min']:.9f}"),
                      ("admissibility mean", f"{adm['mean']:.9f}")]
-        if "oracle" in report:
-            rows += [("oracle value", f"{report['oracle']['value']:.12g}"),
-                     ("oracle max dev from uniform",
-                      f"{report['oracle']['max_dev_from_uniform']:.3e}")]
+        if oracle is not None:
+            rows += [("oracle value", f"{oracle['value']:.12g}"),
+                     ("oracle max dev from uniform", f"{oracle['max_dev_from_uniform']:.3e}")]
         _print_table(rows)
-    return 0 if report["rel_err"] <= max(args.tol, 1e-8) else 1
+    failed = [name for name, ok in (
+        ("rel_err", report["rel_err"] <= max(args.tol, 1e-8)),
+        ("admissibility", adm is None or adm["min"] >= 1.0 - modulus_mod.ADMISSIBILITY_SLACK),
+        ("oracle", oracle is None or oracle["max_dev_from_uniform"] <= ORACLE_DEV_TOL),
+    ) if not ok]
+    if failed:
+        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_geometry(args) -> int:

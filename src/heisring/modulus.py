@@ -19,9 +19,8 @@ import numpy as np
 from . import curves as curves_mod
 from . import revcoords
 from .heis import HPoint
-from .profiles import (BETA_HI, BETA_LO, ProfileCurve, ValidationError,
-                       endpoint_limit, koranyi_image, reparam_by_argument,
-                       validate)
+from .profiles import (BETA_HI, BETA_LO, ProfileCurve, ValidationError, arg_band,
+                       clip_to_band, endpoint_limit, reparam_by_argument, validate)
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,6 @@ class Location(enum.Enum):
     OUTSIDE = "outside"
 
 
-def _pstar_abs_at_arg(ring: RevolutionRing, beta):
-    beta_c = np.clip(beta, BETA_LO + 1e-15, BETA_HI - 1e-15)
-    ps, _ = revcoords.pstar_pair(ring.profile, beta_c)
-    return np.abs(ps)
-
-
 def boundary_ratio(ring: RevolutionRing, z, t):
     """gauge(z,t) / |p*(arg alpha(z,t))|^(1/2); the ring is a < ratio < b."""
     z = np.asarray(z, dtype=complex)
@@ -103,10 +96,9 @@ def boundary_ratio(ring: RevolutionRing, z, t):
     gauge = (np.abs(z) ** 4 + t * t) ** 0.25
     if np.any(gauge == 0.0):
         raise ValueError("boundary ratio undefined at the group origin")
-    alpha = -np.abs(z) ** 2 + 1j * t
-    ang = np.angle(alpha)
-    beta = np.where(ang > 0, ang, ang + 2.0 * math.pi)
-    return gauge / np.sqrt(_pstar_abs_at_arg(ring, beta))
+    beta = arg_band(-np.abs(z) ** 2 + 1j * t)
+    ps, _ = revcoords.pstar_pair(ring.profile, clip_to_band(beta))
+    return gauge / np.sqrt(np.abs(ps))
 
 
 def membership(ring: RevolutionRing, p: HPoint, tol: float = 1e-9) -> Location:
@@ -164,7 +156,7 @@ def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9) -> float:
 
     def f(xi, beta, phi):
         z, t = revcoords.phi_map_arrays(prof, xi, beta, phi)
-        return float(rho0_values(ring, z, t)) ** 4
+        return rho0_values(ring, z, t) ** 4
 
     return revcoords.integrate_over_box(prof, f, ring.box, tol=tol,
                                         phi_independent=True)
@@ -196,6 +188,9 @@ def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
 # -- admissibility ------------------------------------------------------------------
 
 
+ADMISSIBILITY_SLACK = 1e-3  # budget for quadrature and phase-integration error
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     n: int
@@ -212,11 +207,8 @@ class AdmissibilityReport:
 
 def admissibility_report(ring: RevolutionRing, family: curves_mod.CurveFamily,
                          rho: Optional[Density] = None,
-                         slack: float = 1e-3) -> AdmissibilityReport:
-    """Line integrals of a density over a family; pass iff min >= 1 - slack.
-
-    The default slack budgets quadrature and phase-integration error.
-    """
+                         slack: float = ADMISSIBILITY_SLACK) -> AdmissibilityReport:
+    """Line integrals of a density over a family; pass iff min >= 1 - slack."""
     if rho is None:
         rho = rho0_density(ring)
     vals = np.array([curves_mod.line_integral(rho, g) for g in family])

@@ -100,7 +100,7 @@ class KoranyiImage:
 
     def beta(self, s):
         """Argument of p* taken in (pi/2, 3pi/2)."""
-        return _arg_band(self.value(s))
+        return arg_band(self.value(s))
 
     def beta_dot(self, s):
         ps, dps, _ = self.all(s)
@@ -115,10 +115,15 @@ class KoranyiImage:
         return da / r2 - a * dr2 / (r2 * r2)
 
 
-def _arg_band(w):
+def arg_band(w):
     """arg into (pi/2, 3pi/2]; valid for Re w <= 0."""
     ang = np.angle(w)
     return np.where(ang > 0, ang, ang + 2.0 * math.pi)
+
+
+def clip_to_band(beta):
+    """beta clipped 1e-15 inside the open band, where p* is defined."""
+    return np.clip(beta, BETA_LO + 1e-15, BETA_HI - 1e-15)
 
 
 def koranyi_image(curve: ProfileCurve) -> KoranyiImage:

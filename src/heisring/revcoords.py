@@ -17,9 +17,11 @@ import numpy as np
 from scipy import integrate
 
 from .heis import HPoint
-from .profiles import BETA_HI, BETA_LO, ProfileCurve, koranyi_image
+from .profiles import (BETA_HI, BETA_LO, ProfileCurve, arg_band, clip_to_band,
+                       koranyi_image)
 
 EDGE_OFFSET = 1e-9  # quadrature/sampling keeps this distance from the band edges
+MAX_SUBDIVISIONS = 200  # cap on the adaptive cubature's region splits
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,6 @@ def phi_map(curve: ProfileCurve, q: RevPoint) -> HPoint:
     return HPoint(complex(z), float(t))
 
 
-def _arg_band(w):
-    ang = np.angle(w)
-    return np.where(ang > 0, ang, ang + 2.0 * math.pi)
-
-
 def phi_inv_arrays(curve: ProfileCurve, z, t):
     """Vectorized inverse map; returns (xi, beta, phi). Requires z != 0."""
     _require_by_argument(curve)
@@ -84,9 +81,8 @@ def phi_inv_arrays(curve: ProfileCurve, z, t):
     if np.any(z == 0):
         raise ValueError("inverse revolution coordinates are undefined on the vertical axis")
     alpha = -np.abs(z) ** 2 + 1j * t
-    beta = _arg_band(alpha)
-    beta_c = np.clip(beta, BETA_LO + 1e-15, BETA_HI - 1e-15)
-    ps, _ = pstar_pair(curve, beta_c)
+    beta = arg_band(alpha)
+    ps, _ = pstar_pair(curve, clip_to_band(beta))
     xi = 0.5 * np.log(np.abs(alpha) / np.abs(ps))
     phi = np.mod(np.angle(z), 2.0 * math.pi)
     return xi, beta, phi
@@ -145,38 +141,36 @@ def integrate_over_box(curve: ProfileCurve, f, box: Box, tol: float = 1e-9,
                        phi_independent: bool = False) -> float:
     """Integral of f(xi, beta, phi) against the coordinate Jacobian over ``box``.
 
-    Nested 1-D adaptive quadrature (xi outer, beta middle); when the caller
-    declares f independent of phi, the phi factor is integrated exactly.
+    One adaptive product Gauss-Kronrod (GK21) cubature over (xi, beta), or
+    over (xi, beta, phi) unless the caller declares f independent of phi, in
+    which case the phi factor is integrated exactly. ``f`` receives whole node
+    arrays (phi is the scalar midpoint when phi-independent); its result is
+    broadcast against them, so a constant such as ``lambda *_: 1.0`` works.
     Band edges are avoided by a fixed offset; the integrand there carries a
     vanishing cos^2(beta)-type weight for all densities of interest.
+
+    Raises IntegrationError when the cubature has not converged to relative
+    tolerance ``tol`` after MAX_SUBDIVISIONS splits, or when its one error
+    estimate for the whole integral exceeds max(10 tol |result|, 1e-13).
     """
     _require_by_argument(curve)
-    xi0, xi1 = box.xi_range
-    b0, b1 = box.beta_range
     p0, p1 = box.phi_range
-    b0 = max(b0, BETA_LO + EDGE_OFFSET)
-    b1 = min(b1, BETA_HI - EDGE_OFFSET)
+    lo = [box.xi_range[0], max(box.beta_range[0], BETA_LO + EDGE_OFFSET), p0]
+    hi = [box.xi_range[1], min(box.beta_range[1], BETA_HI - EDGE_OFFSET), p1]
+    ndim = 2 if phi_independent else 3
 
-    def beta_integrand(beta, xi):
-        jac = float(jacobian(curve, xi, beta))
-        if phi_independent:
-            return f(xi, beta, 0.5 * (p0 + p1)) * jac
-        inner, _ = integrate.quad(lambda phi: f(xi, beta, phi), p0, p1,
-                                  epsabs=0.0, epsrel=tol, limit=200)
-        return inner * jac
+    def integrand(x):
+        xi, beta = x[:, 0], x[:, 1]
+        phi = 0.5 * (p0 + p1) if phi_independent else x[:, 2]
+        return f(xi, beta, phi) * jacobian(curve, xi, beta)
 
-    def xi_integrand(xi):
-        val, _ = integrate.quad(beta_integrand, b0, b1, args=(xi,),
-                                epsabs=0.0, epsrel=tol, limit=200)
-        return val
-
-    result, err = integrate.quad(xi_integrand, xi0, xi1,
-                                 epsabs=0.0, epsrel=tol, limit=200)
-    if phi_independent:
-        result *= (p1 - p0)
-        err *= (p1 - p0)
-    if abs(err) > max(10.0 * tol * abs(result), 1e-13):
+    res = integrate.cubature(integrand, lo[:ndim], hi[:ndim], rule="gk21", rtol=tol,
+                             atol=0.0, max_subdivisions=MAX_SUBDIVISIONS)
+    scale = (p1 - p0) if phi_independent else 1.0
+    result, err = scale * float(res.estimate), scale * float(res.error)
+    if res.status != "converged" or abs(err) > max(10.0 * tol * abs(result), 1e-13):
         raise IntegrationError(
-            f"estimated quadrature error {err:.3e} above tolerance for result {result:.6e}"
+            f"estimated cubature error {err:.3e} above tolerance for result {result:.6e} "
+            f"({res.status} after {res.subdivisions} subdivisions)"
         )
     return result

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from heisring import modulus
 from heisring.cli import main
 
 
@@ -67,6 +68,23 @@ def test_modulus_with_curves_and_oracle(capsys):
     assert payload["admissibility"]["n"] == 10
     assert payload["admissibility"]["min"] >= 0.999
     assert payload["oracle"]["max_dev_from_uniform"] <= 1e-6
+
+
+@pytest.mark.parametrize("check, part", [
+    ("admissibility", {"admissibility": {"n": 10, "min": 0.99, "mean": 1.2}}),
+    ("oracle", {"oracle": {"value": 29.6, "max_dev_from_uniform": 1e-3}}),
+])
+def test_modulus_exit_code_reflects_every_check(monkeypatch, capsys, check, part):
+    # rel_err passes; the exit code must still report the failing check
+    def fake_report(ring, name, **kwargs):
+        return {"surface": name, "a": ring.a, "b": ring.b, "analytic": 1.0,
+                "numeric": 1.0, "rel_err": 0.0, **part}
+    monkeypatch.setattr(modulus, "modulus_report", fake_report)
+    for extra in ((), ("--json",)):
+        code, _, err = run(capsys, "modulus", "--surface", "koranyi", "--a", "1",
+                           "--b", "2", "--curves", "10", "--oracle", *extra)
+        assert code == 1
+        assert f"check failed: {check}" in err
 
 
 def test_modulus_reversed_bounds_usage_error(capsys):

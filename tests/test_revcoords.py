@@ -141,3 +141,28 @@ def test_integrate_requires_by_argument():
     raw = catalog("bubble_set", 1.0)
     with pytest.raises(ValueError):
         revcoords.integrate_over_box(raw, lambda *_: 1.0, Box((0.0, 1.0)))
+
+
+def test_integrate_bubble_constant_matches_nested_quad():
+    # |p*|^2 behaves like (beta - pi/2)^(3/2) at the band edges of the bubble,
+    # so the cubature must subdivide; the value is that of nested 1-D quad
+    val = revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, Box((0.0, 0.5)),
+                                       phi_independent=True)
+    assert val == pytest.approx(756.6894735213466, rel=1e-9)
+
+
+def test_integrate_nonintegrable_raises_within_cap():
+    with pytest.raises(revcoords.IntegrationError,
+                       match=f"not_converged after {revcoords.MAX_SUBDIVISIONS} "):
+        revcoords.integrate_over_box(
+            KORANYI, lambda xi, beta, phi: 1.0 / np.abs(beta - 3.0),
+            Box((0.0, 0.5)), phi_independent=True)
+
+
+def test_integrate_phi_dependent_closed_form():
+    # the phi factor is integrated by the cubature itself: int cos^2 = pi
+    val = revcoords.integrate_over_box(
+        KORANYI, lambda xi, beta, phi: np.cos(phi) ** 2, Box((0.0, 0.5)))
+    beta_len = BETA_HI - BETA_LO - 2.0 * revcoords.EDGE_OFFSET  # |p*| = 1 for R = 1
+    expected = (math.exp(2.0) - 1.0) / 4.0 * beta_len * math.pi
+    assert val == pytest.approx(expected, rel=1e-9)
