@@ -16,6 +16,7 @@ import numpy as np
 
 from . import modulus as modulus_mod
 from . import surface as surface_mod
+from .curves import DEFAULT_RESOLUTION
 from .profiles import ValidationError, catalog, parse_profile, validate
 
 SURFACE_ALIASES = {
@@ -25,8 +26,6 @@ SURFACE_ALIASES = {
 }
 
 DEFAULT_TOL = 1e-8
-DEFAULT_CURVES = 200
-DEFAULT_RESOLUTION = 1024
 DEFAULT_SEED = 0
 ORACLE_DEV_TOL = 1e-6  # largest relative deviation of the oracle from uniform
 
@@ -56,9 +55,8 @@ def _resolve_profile(args):
 
 def _header(args, out=None):
     out = out if out is not None else sys.stdout
-    curves = getattr(args, "curves", None)
     print(f"# tol={args.tol:g} seed={args.seed} "
-          f"curves={curves if curves is not None else DEFAULT_CURVES} "
+          f"curves={getattr(args, 'curves', None) or 0} "
           f"resolution={args.resolution}", file=out)
 
 

@@ -162,12 +162,16 @@ def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9) -> float:
                                         phi_independent=True)
 
 
+MC_CHUNK = 2 ** 16  # points per rho0_values call; bounds the per-point working set
+
+
 def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
                seed: int = 0) -> tuple[float, float]:
     """Ambient Monte Carlo of the rho0^4 integral; returns (value, std error).
 
     Uniform rejection sampling over a bounding box of the outer shell in
     Cartesian coordinates; completely independent of revolution coordinates.
+    The density is evaluated MC_CHUNK samples at a time.
     """
     beta_grid = np.linspace(BETA_LO + 1e-9, BETA_HI - 1e-9, 20001)
     ps, _ = revcoords.pstar_pair(ring.profile, beta_grid)
@@ -179,7 +183,10 @@ def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
     y = rng.uniform(-zmax, zmax, n)
     t = rng.uniform(tmin, tmax, n)
     volume = (2.0 * zmax) ** 2 * (tmax - tmin)
-    vals = rho0_values(ring, x + 1j * y, t, closed=False) ** 4
+    vals = np.empty(n)
+    for i in range(0, n, MC_CHUNK):
+        j = slice(i, i + MC_CHUNK)
+        vals[j] = rho0_values(ring, x[j] + 1j * y[j], t[j], closed=False) ** 4
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
     return volume * mean, volume * stderr

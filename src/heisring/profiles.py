@@ -63,12 +63,6 @@ class ProfileCurve:
         return out
 
 
-def eval_profile(curve: ProfileCurve, s):
-    """(f, g, fd, gd, fdd, gdd) at s; raises DomainError outside the domain."""
-    f, fd, fdd, g, gd, gdd = curve.eval(s)
-    return f, g, fd, gd, fdd, gdd
-
-
 @dataclass(frozen=True)
 class KoranyiImage:
     """The image p*(s) = -f^2 + i g of a profile curve with derivatives."""
@@ -79,14 +73,6 @@ class KoranyiImage:
         f, fd, fdd, g, gd, gdd = self.curve.eval(s)
         return -f * f + 1j * g
 
-    def deriv(self, s):
-        f, fd, fdd, g, gd, gdd = self.curve.eval(s)
-        return -2.0 * f * fd + 1j * gd
-
-    def second(self, s):
-        f, fd, fdd, g, gd, gdd = self.curve.eval(s)
-        return -2.0 * (fd * fd + f * fdd) + 1j * gdd
-
     def all(self, s):
         """(p*, dp*, ddp*) in one evaluator call."""
         f, fd, fdd, g, gd, gdd = self.curve.eval(s)
@@ -95,9 +81,6 @@ class KoranyiImage:
         ddps = -2.0 * (fd * fd + f * fdd) + 1j * gdd
         return ps, dps, ddps
 
-    def r(self, s):
-        return np.abs(self.value(s))
-
     def beta(self, s):
         """Argument of p* taken in (pi/2, 3pi/2)."""
         return arg_band(self.value(s))
@@ -105,14 +88,6 @@ class KoranyiImage:
     def beta_dot(self, s):
         ps, dps, _ = self.all(s)
         return np.imag(np.conj(ps) * dps) / np.abs(ps) ** 2
-
-    def beta_ddot(self, s):
-        ps, dps, ddps = self.all(s)
-        r2 = np.abs(ps) ** 2
-        a = np.imag(np.conj(ps) * dps)
-        da = np.imag(np.conj(ps) * ddps)
-        dr2 = 2.0 * np.real(np.conj(ps) * dps)
-        return da / r2 - a * dr2 / (r2 * r2)
 
 
 def arg_band(w):
@@ -271,13 +246,19 @@ class ReparamError(RuntimeError):
     """Numeric inversion of s -> beta(s) failed."""
 
 
+POLISH_TOL = 2e-15  # arg residual above which a converged point takes a polishing step
+
+
 def reparam_by_argument(curve: ProfileCurve, tol: float = 1e-12,
                         seed_n: int = 4096) -> ProfileCurve:
     """Reparametrize a validated profile by its Koranyi argument beta.
 
     The inverse s(beta) is found by Newton iterations seeded from a dense
-    monotone sample of beta(s) (bracketing is guaranteed by monotonicity);
-    derivatives come from the inverse-function rule.
+    monotone sample of beta(s) (bracketing is guaranteed by monotonicity).
+    Each step evaluates the source curve once, at the points whose arg
+    residual is still above ``tol``. Derivatives come from the inverse-function
+    rule at each point's last evaluation, so every output is a pure function
+    of its own beta: a batch, its pieces and scalar calls agree bit for bit.
     """
     if curve.by_argument:
         return curve
@@ -288,31 +269,49 @@ def reparam_by_argument(curve: ProfileCurve, tol: float = 1e-12,
     beta_grid = np.asarray(img.beta(s_grid))
     if np.any(np.diff(beta_grid) <= 0):
         raise ReparamError(f"beta(s) is not strictly increasing for {curve.name!r}")
-
-    def invert(beta):
-        beta = np.asarray(beta, dtype=float)
-        s = np.interp(beta, beta_grid, s_grid)
-        for _ in range(80):
-            resid = img.beta(s) - beta
-            if np.all(np.abs(resid) <= max(tol, 1e-15)):
-                break
-            step = resid / img.beta_dot(s)
-            s = np.clip(s - step, lo + eps, hi - eps)
-        else:
-            raise ReparamError(f"inversion of beta(s) did not converge for {curve.name!r}")
-        return s
+    tol = max(tol, 1e-15)
 
     def evaluator(beta):
-        s = invert(beta)
-        f, fd, fdd, g, gd, gdd = curve.eval(s)
-        bdot = img.beta_dot(s)
-        bddot = img.beta_ddot(s)
+        b = np.ravel(beta)
+        s = np.interp(b, beta_grid, s_grid)
+        last = np.empty((6, b.size))  # f ... gdd at each point's last step
+        resid = np.zeros(b.size)  # zero residual: the first step evaluates the seed
+        bdot = np.ones(b.size)
+
+        def newton_step(idx):
+            s[idx] = np.clip(s[idx] - resid[idx] / bdot[idx], lo + eps, hi - eps)
+            last[:, idx] = out = curve.eval(s[idx])
+            f, fd, _, g, gd, _ = out
+            ps = -f * f + 1j * g
+            resid[idx] = arg_band(ps) - b[idx]
+            bdot[idx] = np.imag(np.conj(ps) * (-2.0 * f * fd + 1j * gd)) / np.abs(ps) ** 2
+
+        # Below tol, a point above POLISH_TOL takes polishing steps while each
+        # cuts its residual fourfold: one step in general, a few near a band
+        # edge, where beta(s) is flat.
+        idx = np.arange(b.size)
+        prev = np.full(b.size, np.inf)  # residual before the step; inf above tol
+        for _ in range(80):
+            newton_step(idx)
+            r = np.abs(resid[idx])
+            keep = (r > tol) | ((r > POLISH_TOL) & (4.0 * r < prev))
+            idx, prev = idx[keep], np.where(r > tol, np.inf, r)[keep]
+            if not idx.size:
+                break
+        else:
+            raise ReparamError(f"inversion of beta(s) did not converge for {curve.name!r}")
+
+        f, fd, fdd, g, gd, gdd = last
+        ps = -f * f + 1j * g
+        cdps = np.conj(ps) * (-2.0 * f * fd + 1j * gd)
+        cddps = np.conj(ps) * (-2.0 * (fd * fd + f * fdd) + 1j * gdd)
+        bddot = (np.imag(cddps) - 2.0 * bdot * np.real(cdps)) / np.abs(ps) ** 2
         sp = 1.0 / bdot
         spp = -bddot / bdot ** 3
-        return (
+        return tuple(np.reshape(v, np.shape(beta)) for v in (
             f, fd * sp, fdd * sp * sp + fd * spp,
             g, gd * sp, gdd * sp * sp + gd * spp,
-        )
+        ))
 
     return ProfileCurve(
         name=f"{curve.name} (by argument)",

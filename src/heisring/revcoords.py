@@ -99,18 +99,6 @@ def jacobian(curve: ProfileCurve, xi, beta):
     return np.exp(4.0 * np.asarray(xi)) * np.abs(ps) ** 2
 
 
-def horizontality_residual(curve: ProfileCurve, beta, dxi, dbeta, dphi):
-    """Max deviation from the horizontal-lift condition on derivative triples.
-
-    A triple (dxi, dbeta, dphi) at band coordinate beta is horizontal when
-    dphi = tan(beta) dxi + Im dp* / (2 Re p*) dbeta.
-    """
-    ps, dps = pstar_pair(curve, np.asarray(beta))
-    rhs = np.tan(np.asarray(beta)) * np.asarray(dxi) + \
-        np.imag(dps) / (2.0 * np.real(ps)) * np.asarray(dbeta)
-    return float(np.max(np.abs(np.asarray(dphi) - rhs)))
-
-
 def horizontality_rhs(curve: ProfileCurve, beta, dxi, dbeta):
     """dphi demanded by the horizontality condition."""
     ps, dps = pstar_pair(curve, np.asarray(beta))

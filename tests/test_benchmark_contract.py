@@ -9,6 +9,7 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,3 +76,18 @@ def test_family_members_carry_residual(ring):
     grid = curves.quasiradial_family(ring, n_beta=2, n_phi=2, n=64)
     for member in (*fam, *grid):
         assert member.residual >= 0.0
+
+
+def test_byarg_eval_reaches_source_through_profilecurve_eval(ring):
+    # profiles.native_per_byarg counts native ProfileCurve.eval calls nested
+    # in a by-argument one; an evaluator bypassing eval would read 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ring.profile.eval(np.linspace(profiles.BETA_LO + 0.1, profiles.BETA_HI - 0.1, 16))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, {})
+    assert metrics["profiles.eval_byarg.calls"] == 1
+    assert metrics["profiles.eval_native.calls"] >= 1
+    assert metrics["profiles.native_per_byarg"] == metrics["profiles.eval_native.calls"]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from heisring import modulus
+from heisring import curves, modulus
 from heisring.cli import main
 
 
@@ -57,6 +57,15 @@ def test_modulus_json_schema(capsys):
                              "rel_err"]
     assert payload["analytic"] == pytest.approx(29.636257682862013)
     assert payload["rel_err"] <= 1e-8
+
+
+@pytest.mark.parametrize("extra, ran", [((), 0), (("--curves", "3"), 3)])
+def test_modulus_header_reports_curves_run(capsys, extra, ran):
+    code, out, _ = run(capsys, "modulus", "--surface", "koranyi",
+                       "--a", "1", "--b", "2", *extra)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        f"# tol=1e-08 seed=0 curves={ran} resolution={curves.DEFAULT_RESOLUTION}")
 
 
 def test_modulus_with_curves_and_oracle(capsys):

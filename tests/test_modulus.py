@@ -91,6 +91,13 @@ def test_mc_modulus_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("ring", [RING_B, RING_CC], ids=["bubble", "cc"])
+def test_mc_modulus_chunking_is_exact(monkeypatch, ring):
+    chunked = md.mc_modulus(ring, n=10 ** 6, seed=0)
+    monkeypatch.setattr(md, "MC_CHUNK", 2 * 10 ** 6)
+    assert md.mc_modulus(ring, n=10 ** 6, seed=0) == chunked
+
+
 # -- admissibility -------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from heisring import profiles
 from heisring.profiles import (BETA_HI, BETA_LO, DomainError, ProfileCurve,
-                               catalog, endpoint_limit, koranyi_image,
+                               arg_band, catalog, endpoint_limit, koranyi_image,
                                parse_profile, reparam_by_argument, validate)
 
 
@@ -203,6 +203,68 @@ def test_reparam_derivatives_by_finite_differences():
     # wider step: each evaluation carries the 1e-12 Newton-inversion noise
     for beta in np.linspace(BETA_LO + 0.2, BETA_HI - 0.2, 9):
         fd_check(rc, float(beta), h=1e-5)
+
+
+BUBBLE_SOURCE = """\
+param R = 1
+f = 2*R*sin(s/(2*R))
+g = 2*R^2*sin(s/R) - 2*R*s + 2*pi*R^2
+domain = (0, 2*pi*R)
+"""
+
+BYARG_SOURCES = {
+    "bubble_set": lambda: catalog("bubble_set", 1.0),
+    "cc_sphere": lambda: catalog("cc_sphere", 1.0),
+    "parsed bubble": lambda: parse_profile(BUBBLE_SOURCE, name="bubble"),
+}
+
+
+def band_samples(n, seed):
+    """n betas uniform in the band, 1% of them within 1e-9 of each edge."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    beta = rng.uniform(BETA_LO, BETA_HI, n)
+    k = n // 100
+    beta[:k] = BETA_LO + 1e-9 * (1.0 - rng.random(k))
+    beta[k:2 * k] = BETA_HI - 1e-9 * (1.0 - rng.random(k))
+    return beta
+
+
+@pytest.mark.parametrize("name", sorted(BYARG_SOURCES))
+def test_reparam_batch_pieces_and_scalars_agree_bitwise(name):
+    # each output is a pure function of its own beta, whatever the batch
+    rc = reparam_by_argument(BYARG_SOURCES[name]())
+    beta = band_samples(2 * 10 ** 5, seed=11)
+    batch = np.array(rc.eval(beta))
+    pieces = np.concatenate([np.array(rc.eval(beta[i:i + 4099]))
+                             for i in range(0, beta.size, 4099)], axis=1)
+    assert np.array_equal(batch, pieces)
+    scalars = np.array([rc.eval(float(b)) for b in beta[:50]]).T
+    assert np.array_equal(batch[:, :50], scalars)
+
+
+@pytest.mark.parametrize("name", ["bubble_set", "cc_sphere"])
+def test_reparam_arg_residual_at_rounding_level(name):
+    rc = reparam_by_argument(catalog(name, 1.0))
+    beta = band_samples(10 ** 5, seed=12)
+    f, _, _, g, _, _ = rc.eval(beta)
+    assert np.max(np.abs(arg_band(-f * f + 1j * g) - beta)) <= 4e-15
+
+
+@pytest.mark.parametrize("name", ["bubble_set", "cc_sphere"])
+def test_reparam_native_points_per_point(name):
+    # one source evaluation per Newton step, converged points leave the batch
+    src = catalog(name, 1.0)
+    count = [0]
+
+    def counting(s):
+        count[0] += np.size(s)
+        return src.evaluator(s)
+
+    rc = reparam_by_argument(ProfileCurve(src.name, src.domain, counting, src.params))
+    count[0] = 0
+    beta = band_samples(10 ** 5, seed=13)
+    rc.eval(beta)
+    assert count[0] <= 3 * beta.size
 
 
 def test_reparam_identity_for_by_argument_curve():
