@@ -3,14 +3,18 @@
 A curve is stored as dense arrays of ambient samples (z, t) with derivatives
 and, when generated in revolution coordinates, the tilde samples
 (xi, beta, phi) with their derivatives. Every constructor attaches a
-horizontality residual certificate.
+horizontality residual certificate. A CurveFamily holds many curves as one
+batch of (count, n+1) arrays on a shared grid; its generators and line
+integral work on whole chunks of curves, CHUNK_POINTS samples per call, and a
+single curve is a family of one.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,40 +24,51 @@ from . import revcoords
 from .profiles import BETA_HI, BETA_LO
 
 DEFAULT_RESOLUTION = 1024
+CHUNK_POINTS = 2 ** 14  # samples per p* or density call; chunks hold whole curves
+N_MODES = 4  # Fourier modes of a random curve's xi warp and beta path
+REFINE = 4  # a random curve's phase is integrated on a REFINE x finer grid
+BAND_MARGIN = 1e-3  # a random beta path stays this far inside the band
 
 
 class NotHorizontalError(ValueError):
     """Residual certificate exceeds the allowed tolerance."""
 
 
-def contact_residual(z, dz, dt) -> float:
-    """max |omega(gamma')| / max(1, max |gamma'_h|) over the samples."""
+def contact_residual(z, dz, dt):
+    """max |omega(gamma')| / max(1, max |gamma'_h|) over the samples (last axis)."""
     omega = dt + 2.0 * np.imag(np.conj(z) * dz)
-    return float(np.max(np.abs(omega)) / max(1.0, float(np.max(np.abs(dz)))))
+    return np.max(np.abs(omega), axis=-1) / np.maximum(1.0, np.max(np.abs(dz), axis=-1))
 
 
 @dataclass(frozen=True)
-class HorizontalCurve:
+class _Samples:
     tau: np.ndarray
     z: np.ndarray
     t: np.ndarray
     dz: np.ndarray
     dt: np.ndarray
-    residual: float
+    residual: "float | np.ndarray"  # a float per curve, a vector per family
     xi: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
     phi: Optional[np.ndarray] = None
     dxi: Optional[np.ndarray] = None
     dbeta: Optional[np.ndarray] = None
     dphi: Optional[np.ndarray] = None
-    tol: float = 1e-8
+
+
+TILDE = ("xi", "beta", "phi", "dxi", "dbeta", "dphi")
+
+
+@dataclass(frozen=True)
+class HorizontalCurve(_Samples):
+    """One curve: samples on the grid ``tau`` and a float residual."""
 
     @classmethod
-    def from_samples(cls, tau, z, t, dz, dt, tol: float = 1e-8, **tilde):
-        res = contact_residual(np.asarray(z), np.asarray(dz), np.asarray(dt))
+    def from_samples(cls, tau, z, t, dz, dt, **tilde):
+        res = float(contact_residual(np.asarray(z), np.asarray(dz), np.asarray(dt)))
         return cls(np.asarray(tau, dtype=float), np.asarray(z, dtype=complex),
                    np.asarray(t, dtype=float), np.asarray(dz, dtype=complex),
-                   np.asarray(dt, dtype=float), res, tol=tol, **tilde)
+                   np.asarray(dt, dtype=float), res, **tilde)
 
     @property
     def endpoints(self):
@@ -79,6 +94,32 @@ class HorizontalCurve:
         return path
 
 
+@dataclass(frozen=True)
+class CurveFamily(_Samples):
+    """``count`` curves on one shared grid ``tau``: (count, n+1) sample arrays
+    and a residual vector. Row ``i`` is ``family[i]``, a HorizontalCurve of
+    views into the arrays."""
+
+    descriptor: str = ""
+
+    def __len__(self):
+        return len(self.residual)
+
+    def __getitem__(self, i) -> HorizontalCurve:
+        tilde = {k: getattr(self, k)[i] for k in TILDE if getattr(self, k) is not None}
+        return HorizontalCurve(self.tau, self.z[i], self.t[i], self.dz[i], self.dt[i],
+                               float(self.residual[i]), **tilde)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _row_chunks(rows: int, width: int):
+    """Slices of whole rows, each at most CHUNK_POINTS samples (one row at least)."""
+    step = max(1, CHUNK_POINTS // width)
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
 def horizontal_length(curve: HorizontalCurve) -> float:
     """Composite quadrature of the horizontal speed over the sample grid."""
     if curve.residual > 1e-6:
@@ -90,73 +131,78 @@ def horizontal_length(curve: HorizontalCurve) -> float:
     return float(integrate.simpson(np.abs(curve.dz), x=curve.tau))
 
 
-def line_integral(rho, curve: HorizontalCurve, with_error: bool = False):
-    """Horizontal line integral of a density along a horizontal curve.
+def line_integrals(rho, family, with_error: bool = False):
+    """Horizontal line integrals of a density along every curve of a family.
 
-    ``rho`` is a vectorized callable rho(z, t) >= 0. Composite Simpson on the
-    sample grid; the error estimate compares with half resolution.
+    ``rho`` is a vectorized callable rho(z, t) >= 0, called once per chunk of
+    whole curves; a HorizontalCurve counts as a family of one. Composite
+    Simpson on the shared sample grid; the error estimate compares with half
+    resolution. Returns an array, or the pair (values, error estimates).
     """
-    if curve.residual > 1e-6:
+    residual = np.atleast_1d(family.residual)
+    if np.any(residual > 1e-6):
         raise NotHorizontalError(
-            f"curve residual {curve.residual:.3e} too large for line integral"
+            f"curve residual {np.max(residual):.3e} too large for line integral"
         )
-    vals = np.asarray(rho(curve.z, curve.t), dtype=float)
+    z, t, dz = (np.atleast_2d(a) for a in (family.z, family.t, family.dz))
+    vals = np.empty(z.shape)
+    for k in _row_chunks(*z.shape):
+        vals[k] = np.reshape(rho(z[k].ravel(), t[k].ravel()), vals[k].shape)
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("density is non-finite at a curve sample")
-    integrand = vals * np.abs(curve.dz)
-    if curve.tau[0] == curve.tau[-1]:
-        return (0.0, 0.0) if with_error else 0.0
-    full = float(integrate.simpson(integrand, x=curve.tau))
+    integrand, tau = vals * np.abs(dz), family.tau
+    if tau[0] == tau[-1]:
+        return (np.zeros(len(z)),) * 2 if with_error else np.zeros(len(z))
+    full = integrate.simpson(integrand, x=tau, axis=-1)
     if not with_error:
         return full
-    half = float(integrate.simpson(integrand[::2], x=curve.tau[::2]))
-    return full, abs(full - half) / 15.0
+    half = integrate.simpson(integrand[:, ::2], x=tau[::2], axis=-1)
+    return full, np.abs(full - half) / 15.0
 
 
-@dataclass(frozen=True)
-class CurveFamily:
-    descriptor: str
-    curves: tuple = field(repr=False)
-    ring: object = None
-
-    def __len__(self):
-        return len(self.curves)
-
-    def __iter__(self):
-        return iter(self.curves)
+def line_integral(rho, curve: HorizontalCurve, with_error: bool = False):
+    """``line_integrals`` of one curve: a float, or (value, error estimate)."""
+    out = line_integrals(rho, curve, with_error)
+    return (float(out[0][0]), float(out[1][0])) if with_error else float(out[0])
 
 
 # -- generators -------------------------------------------------------------------
 
 
-def _ambient_from_tilde(profile, tau, xi, beta, phi, dxi, dbeta, dphi, tol=1e-8):
-    """Assemble a HorizontalCurve from tilde samples with analytic derivatives."""
-    ps, dps = revcoords.pstar_pair(profile, beta)
+def _family(descriptor, tau, xi, beta, phi, dxi, dbeta, dphi, ps, dps) -> CurveFamily:
+    """Ambient samples Phi(xi, beta, phi) and their analytic derivatives from
+    tilde samples and the p* pair at beta, every row at once."""
     re = np.real(-ps)
     z = np.exp(xi + 1j * phi) * np.sqrt(re)
     t = np.exp(2.0 * xi) * np.imag(ps)
-    dlog_re = np.real(-dps) * dbeta / re
-    dz = z * (dxi + 1j * dphi + 0.5 * dlog_re)
+    # a named factor: numpy reuses a large temporary right operand in place as
+    # the left one, and that swap changes the rounding of a complex product
+    dlog_term = dxi + 1j * dphi + 0.5 * (np.real(-dps) * dbeta / re)
+    dz = z * dlog_term
     dt = 2.0 * dxi * t + np.exp(2.0 * xi) * np.imag(dps) * dbeta
-    return HorizontalCurve.from_samples(
-        tau, z, t, dz, dt, tol=tol,
-        xi=xi, beta=beta, phi=phi, dxi=dxi, dbeta=dbeta, dphi=dphi,
-    )
+    return CurveFamily(tau, z, t, dz, dt, contact_residual(z, dz, dt), xi=xi, beta=beta,
+                       phi=phi, dxi=dxi, dbeta=dbeta, dphi=dphi, descriptor=descriptor)
+
+
+def _quasiradials(ring, betas, phis, n: int, descriptor: str) -> CurveFamily:
+    """xi -> Phi(xi, beta, phi + tan(beta) xi) across the ring for every
+    (beta, phi) pair, beta-major; p* is evaluated once per beta."""
+    if not np.all((BETA_LO < betas) & (betas < BETA_HI)):
+        raise ValueError(f"beta {betas} outside the open band")
+    xi = np.linspace(math.log(ring.a), math.log(ring.b), n + 1)
+    ps, dps = (np.repeat(v, phis.size)[:, None]
+               for v in revcoords.pstar_pair(ring.profile, betas))
+    tb = np.repeat([math.tan(b) for b in betas], phis.size)[:, None]
+    phi = np.tile(phis, betas.size)[:, None] + tb * xi
+    full = functools.partial(np.broadcast_to, shape=(betas.size * phis.size, n + 1))
+    return _family(descriptor, xi, full(xi), full(np.repeat(betas, phis.size)[:, None]), phi,
+                   full(1.0), full(0.0), full(tb), ps, dps)
 
 
 def quasiradial(ring, beta: float, phi0: float, n: int = DEFAULT_RESOLUTION) -> HorizontalCurve:
     """The horizontal curve xi -> Phi(xi, beta, phi0 + tan(beta) xi) across the ring."""
-    if not (BETA_LO < beta < BETA_HI):
-        raise ValueError(f"beta {beta} outside the open band")
-    xi = np.linspace(math.log(ring.a), math.log(ring.b), n + 1)
-    tb = math.tan(beta)
-    beta_arr = np.full_like(xi, beta)
-    phi = phi0 + tb * xi
-    dxi = np.ones_like(xi)
-    dbeta = np.zeros_like(xi)
-    dphi = np.full_like(xi, tb)
-    return _ambient_from_tilde(ring.profile, xi, xi, beta_arr, phi, dxi, dbeta, dphi,
-                               tol=1e-12)
+    return _quasiradials(ring, np.array([beta], dtype=float), np.array([phi0], dtype=float),
+                         n, "quasiradial")[0]
 
 
 def quasiradial_family(ring, n_beta: int = 64, n_phi: int = 64,
@@ -164,71 +210,70 @@ def quasiradial_family(ring, n_beta: int = 64, n_phi: int = 64,
     """Quasiradials on a regular interior (beta, phi) grid."""
     betas = BETA_LO + (BETA_HI - BETA_LO) * (np.arange(1, n_beta + 1)) / (n_beta + 1)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    curves = tuple(quasiradial(ring, float(b), float(p), n=n)
-                   for b in betas for p in phis)
-    return CurveFamily(f"quasiradial grid {n_beta}x{n_phi}", curves, ring)
+    return _quasiradials(ring, betas, phis, n, f"quasiradial grid {n_beta}x{n_phi}")
 
 
-def random_horizontal_curve(ring, seed: int, n: int = DEFAULT_RESOLUTION,
-                            band_margin: float = 1e-3) -> HorizontalCurve:
-    """A seeded random horizontal curve connecting the ring boundaries.
-
-    xi(tau) is a smooth strictly increasing warp from log a to log b; beta(tau)
-    is a low-order random Fourier path kept inside the safe band; phi comes
-    from integrating the horizontality condition. The generator is a pure
-    function of the seed (counter-based Philox stream), so families are
-    reproducible and embarrassingly parallel.
-    """
+def _random_draws(seed: int):
+    """(c, d, phase, center, phi0) of one random curve, from its own Philox stream."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    n_modes = 4
-    j = np.arange(1, n_modes + 1)
-
+    j = np.arange(1, N_MODES + 1)
     # strictly increasing xi warp: m(0)=0, m(1)=1, m' >= 1 - amp > 0
-    c_raw = rng.uniform(-1.0, 1.0, n_modes)
+    c_raw = rng.uniform(-1.0, 1.0, N_MODES)
     amp = 0.8 * rng.uniform(0.2, 1.0)
     c = amp * c_raw / np.sum(np.abs(c_raw) * math.pi * j)
-    la, lb = math.log(ring.a), math.log(ring.b)
-    span = lb - la
-
     # beta path inside [pi/2 + margin, 3pi/2 - margin]
     center = math.pi + rng.uniform(-0.3, 0.3)
-    d_raw = rng.uniform(-1.0, 1.0, n_modes)
-    phase = rng.uniform(0.0, 2.0 * math.pi, n_modes)
-    b_max = (math.pi / 2 - band_margin) - abs(center - math.pi) - 0.05
+    d_raw = rng.uniform(-1.0, 1.0, N_MODES)
+    phase = rng.uniform(0.0, 2.0 * math.pi, N_MODES)
+    b_max = (math.pi / 2 - BAND_MARGIN) - abs(center - math.pi) - 0.05
     d = b_max * rng.uniform(0.3, 1.0) * d_raw / np.sum(np.abs(d_raw))
-    phi0 = rng.uniform(0.0, 2.0 * math.pi)
-
-    def xi_of(tau):
-        m = tau + np.sum(c[:, None] * np.sin(math.pi * np.outer(j, tau)), axis=0)
-        dm = 1.0 + np.sum(c[:, None] * math.pi * j[:, None]
-                          * np.cos(math.pi * np.outer(j, tau)), axis=0)
-        return la + span * m, span * dm
-
-    def beta_of(tau):
-        arg = math.pi * np.outer(j, tau) + phase[:, None]
-        b = center + np.sum(d[:, None] * np.sin(arg), axis=0)
-        db = np.sum(d[:, None] * math.pi * j[:, None] * np.cos(arg), axis=0)
-        return b, db
-
-    # phase by cumulative Simpson on a 4x refined grid; the integrand is
-    # smooth, so the composite error is far below the residual tolerance
-    refine = 4
-    tau_fine = np.linspace(0.0, 1.0, refine * n + 1)
-    xi_f, dxi_f = xi_of(tau_fine)
-    beta_f, dbeta_f = beta_of(tau_fine)
-    dphi_f = np.asarray(
-        revcoords.horizontality_rhs(ring.profile, beta_f, dxi_f, dbeta_f))
-    phi_f = phi0 + integrate.cumulative_simpson(dphi_f, x=tau_fine, initial=0.0)
-
-    sel = slice(None, None, refine)
-    return _ambient_from_tilde(ring.profile, tau_fine[sel], xi_f[sel],
-                               beta_f[sel], phi_f[sel], dxi_f[sel],
-                               dbeta_f[sel], dphi_f[sel])
+    return c, d, phase, center, rng.uniform(0.0, 2.0 * math.pi)
 
 
 def random_family(ring, count: int, seed0: int = 0, n: int = 256) -> CurveFamily:
-    curves = tuple(random_horizontal_curve(ring, seed0 + i, n=n) for i in range(count))
-    return CurveFamily(f"random family n={count} seed0={seed0}", curves, ring)
+    """Seeded random horizontal curves connecting the ring boundaries.
+
+    xi(tau) is a smooth strictly increasing warp from log a to log b; beta(tau)
+    is a low-order random Fourier path kept inside the safe band; phi comes
+    from integrating the horizontality condition. Curve i is a pure function
+    of the seed seed0 + i (its own counter-based Philox stream), so families
+    are reproducible and any row equals ``random_horizontal_curve``.
+    """
+    if count < 1:
+        raise ValueError(f"need at least one curve, got {count}")
+    c, d, phase, center, phi0 = map(np.array, zip(*map(_random_draws,
+                                                        range(seed0, seed0 + count))))
+    la = math.log(ring.a)
+    span = math.log(ring.b) - la
+    j = np.arange(1, N_MODES + 1)[:, None]
+    # phase by cumulative Simpson on a REFINE x finer grid; the integrand is
+    # smooth, so the composite error is far below the residual tolerance
+    tau = np.linspace(0.0, 1.0, REFINE * n + 1)
+    jt = math.pi * np.outer(j, tau)
+    sin_jt, cos_jt = np.sin(jt), np.cos(jt)
+    kinds = dict(z=complex, t=float, dz=complex, dt=float, **dict.fromkeys(TILDE, float))
+    cols = {name: np.empty((count, n + 1), dtype=kind) for name, kind in kinds.items()}
+    cols["residual"] = np.empty(count)
+    for k in _row_chunks(count, tau.size):
+        ck, dk, arg = c[k, :, None], d[k, :, None], jt + phase[k, :, None]
+        xi = la + span * (tau + np.sum(ck * sin_jt, axis=1))
+        dxi = span * (1.0 + np.sum(ck * math.pi * j * cos_jt, axis=1))
+        beta = center[k, None] + np.sum(dk * np.sin(arg), axis=1)
+        dbeta = np.sum(dk * math.pi * j * np.cos(arg), axis=1)
+        ps, dps = revcoords.pstar_pair(ring.profile, beta)
+        dphi = revcoords._horizontality_rhs(ps, dps, beta, dxi, dbeta)
+        phi = phi0[k, None] + integrate.cumulative_simpson(dphi, x=tau, initial=0.0)
+        part = _family("", tau[::REFINE], *(v[:, ::REFINE] for v in (
+            xi, beta, phi, dxi, dbeta, dphi, ps, dps)))
+        for name, col in cols.items():
+            col[k] = getattr(part, name)
+    return CurveFamily(tau[::REFINE], descriptor=f"random family n={count} seed0={seed0}",
+                       **cols)
+
+
+def random_horizontal_curve(ring, seed: int, n: int = DEFAULT_RESOLUTION) -> HorizontalCurve:
+    """The seeded random curve of ``random_family``, as a family of one."""
+    return random_family(ring, 1, seed0=seed, n=n)[0]
 
 
 def cc_lift(k: float, R: float, phi: float = 0.0,
@@ -252,4 +297,4 @@ def cc_lift(k: float, R: float, phi: float = 0.0,
         t = (2.0 / k) * (np.sin(k * s) / k - s)
         dz = rot * (-1j) * np.exp(1j * k * s)
         dt = (2.0 / k) * (np.cos(k * s) - 1.0)
-    return HorizontalCurve.from_samples(s, z, t, dz, dt, tol=1e-10)
+    return HorizontalCurve.from_samples(s, z, t, dz, dt)

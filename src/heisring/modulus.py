@@ -72,33 +72,28 @@ def make_ring(curve: ProfileCurve, a: float, b: float,
     return RevolutionRing(reparam_by_argument(curve), a, b)
 
 
-@dataclass(frozen=True)
-class Density:
-    """A nonnegative Borel density with a vectorized evaluator rho(z, t)."""
-
-    evaluator: Callable
-    support: str = "whole space"
-
-    def __call__(self, z, t):
-        return self.evaluator(z, t)
-
-
 class Location(enum.Enum):
     INSIDE = "inside"
     BOUNDARY = "boundary"
     OUTSIDE = "outside"
 
 
-def boundary_ratio(ring: RevolutionRing, z, t):
-    """gauge(z,t) / |p*(arg alpha(z,t))|^(1/2); the ring is a < ratio < b."""
+def _gauge_terms(ring: RevolutionRing, z, t):
+    """(|z|, |z|^4 + t^2, boundary ratio) at ambient points off the origin."""
     z = np.asarray(z, dtype=complex)
     t = np.asarray(t, dtype=float)
-    gauge = (np.abs(z) ** 4 + t * t) ** 0.25
-    if np.any(gauge == 0.0):
-        raise ValueError("boundary ratio undefined at the group origin")
-    beta = arg_band(-np.abs(z) ** 2 + 1j * t)
+    az = np.abs(z)
+    r4 = az ** 4 + t * t
+    if np.any(r4 == 0.0):
+        raise ValueError("boundary ratio and rho0 are undefined at the group origin")
+    beta = arg_band(-az ** 2 + 1j * t)
     ps, _ = revcoords.pstar_pair(ring.profile, clip_to_band(beta))
-    return gauge / np.sqrt(np.abs(ps))
+    return az, r4, r4 ** 0.25 / np.sqrt(np.abs(ps))
+
+
+def boundary_ratio(ring: RevolutionRing, z, t):
+    """gauge(z,t) / |p*(arg alpha(z,t))|^(1/2); the ring is a < ratio < b."""
+    return _gauge_terms(ring, z, t)[2]
 
 
 def membership(ring: RevolutionRing, p: HPoint, tol: float = 1e-9) -> Location:
@@ -117,13 +112,7 @@ def rho0_values(ring: RevolutionRing, z, t, closed: bool = True,
     With ``closed`` the indicator includes the boundary shells (a measure-zero
     change that keeps line integrals along boundary-touching curves exact).
     """
-    z = np.asarray(z, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    az = np.abs(z)
-    r4 = az ** 4 + t * t
-    if np.any(r4 == 0.0):
-        raise ValueError("extremal density undefined at the group origin")
-    ratio = boundary_ratio(ring, z, t)
+    az, r4, ratio = _gauge_terms(ring, z, t)
     pad = tol if closed else -tol
     inside = (ratio > ring.a - pad) & (ratio < ring.b + pad)
     vals = az / np.sqrt(r4) / ring.log_ratio
@@ -134,8 +123,9 @@ def rho0(ring: RevolutionRing, p: HPoint) -> float:
     return float(rho0_values(ring, p.z, p.t))
 
 
-def rho0_density(ring: RevolutionRing) -> Density:
-    return Density(lambda z, t: rho0_values(ring, z, t), support="ring")
+def rho0_density(ring: RevolutionRing) -> Callable:
+    """rho0 of the ring as a plain vectorized callable rho(z, t)."""
+    return lambda z, t: rho0_values(ring, z, t)
 
 
 def analytic_modulus(a: float, b: float) -> float:
@@ -213,12 +203,12 @@ class AdmissibilityReport:
 
 
 def admissibility_report(ring: RevolutionRing, family: curves_mod.CurveFamily,
-                         rho: Optional[Density] = None,
+                         rho: Optional[Callable] = None,
                          slack: float = ADMISSIBILITY_SLACK) -> AdmissibilityReport:
     """Line integrals of a density over a family; pass iff min >= 1 - slack."""
     if rho is None:
         rho = rho0_density(ring)
-    vals = np.array([curves_mod.line_integral(rho, g) for g in family])
+    vals = curves_mod.line_integrals(rho, family)
     span = (float(np.min(vals)), float(np.max(vals))) if vals.size else (0.0, 1.0)
     if span[1] - span[0] < 1e-9 * max(1.0, abs(span[0])):
         # degenerate range (e.g. all quasiradials give exactly 1)

@@ -101,7 +101,11 @@ def jacobian(curve: ProfileCurve, xi, beta):
 
 def horizontality_rhs(curve: ProfileCurve, beta, dxi, dbeta):
     """dphi demanded by the horizontality condition."""
-    ps, dps = pstar_pair(curve, np.asarray(beta))
+    return _horizontality_rhs(*pstar_pair(curve, np.asarray(beta)), beta, dxi, dbeta)
+
+
+def _horizontality_rhs(ps, dps, beta, dxi, dbeta):
+    """horizontality_rhs given the pair (p*, dp*/dbeta) at ``beta``."""
     return np.tan(np.asarray(beta)) * np.asarray(dxi) + \
         np.imag(dps) / (2.0 * np.real(ps)) * np.asarray(dbeta)
 

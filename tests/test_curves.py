@@ -1,11 +1,13 @@
 """Horizontal curves: certificates, lengths, line integrals, generators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from heisring import curves as cv
+from heisring import heis
 from heisring import modulus as md
 from heisring.heis import dist, gauge
 from heisring.profiles import BETA_HI, BETA_LO, catalog
@@ -109,7 +111,8 @@ def test_random_curves_connect_boundaries():
 def test_random_family_is_seed_indexed():
     fam = cv.random_family(RING, 3, seed0=7, n=64)
     solo = cv.random_horizontal_curve(RING, seed=8, n=64)
-    assert np.array_equal(fam.curves[1].z, solo.z)
+    assert np.array_equal(fam[1].z, solo.z)
+    assert np.shares_memory(fam[1].z, fam.z)  # rows are views, not copies
 
 
 # -- measurements --------------------------------------------------------------
@@ -145,3 +148,121 @@ def test_export_csv(tmp_path):
     assert lines[0] == "tau,x,y,t,xi,beta,phi,residual"
     assert len(lines) == 18
     assert float(lines[1].split(",")[-1]) <= 1e-8
+
+
+# -- array families against their batch-of-one wrappers -----------------------
+
+SURFACES = {"koranyi": "koranyi_sphere", "bubble": "bubble_set", "cc": "cc_sphere"}
+FIELDS = ("z", "t", "dz", "dt", "residual")
+
+
+@pytest.fixture(scope="module", params=sorted(SURFACES))
+def surface_ring(request):
+    return request.param, md.make_ring(catalog(SURFACES[request.param], 1.0), 1.0, 2.0)
+
+
+def _same(a, b):
+    """Bit-for-bit equality of float or complex arrays."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_random_family_rows_equal_single_curves(surface_ring):
+    _, ring = surface_ring
+    fam = cv.random_family(ring, 70, seed0=5, n=256)  # 70 curves span several chunks
+    assert 70 * 1025 > cv.CHUNK_POINTS
+    for i, row in enumerate(fam):
+        solo = cv.random_horizontal_curve(ring, 5 + i, n=256)
+        for name in FIELDS:
+            assert _same(getattr(row, name), getattr(solo, name)), (i, name)
+
+
+def test_random_family_chunking_is_exact(monkeypatch, surface_ring):
+    _, ring = surface_ring
+    chunked = cv.random_family(ring, 70, seed0=5, n=256)
+    monkeypatch.setattr(cv, "CHUNK_POINTS", 70 * 1025 + 1)
+    whole = cv.random_family(ring, 70, seed0=5, n=256)
+    for name in FIELDS + cv.TILDE:
+        assert _same(getattr(chunked, name), getattr(whole, name)), name
+    rho = md.rho0_density(ring)
+    lis = cv.line_integrals(rho, chunked)
+    monkeypatch.setattr(cv, "CHUNK_POINTS", 2 ** 14)
+    assert _same(cv.line_integrals(rho, chunked), lis)
+
+
+def test_line_integrals_equal_single_curves(surface_ring):
+    _, ring = surface_ring
+    rho = md.rho0_density(ring)
+    fam = cv.random_family(ring, 70, seed0=5, n=256)
+    batch = cv.line_integrals(rho, fam)
+    assert _same(batch, np.array([cv.line_integral(rho, c) for c in fam]))
+
+
+def test_quasiradial_family_rows_equal_single_curves(surface_ring):
+    _, ring = surface_ring
+    fam = cv.quasiradial_family(ring, n_beta=5, n_phi=3, n=64)
+    betas = BETA_LO + (BETA_HI - BETA_LO) * np.arange(1, 6) / 6
+    phis = 2.0 * math.pi * np.arange(3) / 3
+    for i, row in enumerate(fam):
+        solo = cv.quasiradial(ring, float(betas[i // 3]), float(phis[i % 3]), n=64)
+        for name in FIELDS + cv.TILDE:
+            assert _same(getattr(row, name), getattr(solo, name)), (i, name)
+
+
+# min and mean of 300 random curves (seed0=0, n=256), before the families
+# became arrays; any change in the generators or the line integral shows here
+ADMISSIBILITY_300 = {
+    "koranyi": ("0x1.22020a40d2baep+0", "0x1.1adb6accff9b1p+1"),
+    "bubble": ("0x1.2864151506c06p+0", "0x1.1e45d78c95ba3p+1"),
+    "cc": ("0x1.1becba807f0d6p+0", "0x1.1f8b3c0916cb5p+1"),
+}
+
+
+def test_admissibility_report_is_pinned(surface_ring):
+    name, ring = surface_ring
+    rep = md.admissibility_report(ring, cv.random_family(ring, 300, seed0=0, n=256))
+    assert (rep.min.hex(), rep.mean.hex()) == ADMISSIBILITY_300[name]
+
+
+def test_random_family_needs_a_curve():
+    with pytest.raises(ValueError):
+        cv.random_family(RING, 0)
+
+
+# -- metamorphic: symmetries of the ring and of the group ----------------------
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.0, -4.1])
+def test_rotation_about_t_axis_preserves_family(surface_ring, theta):
+    _, ring = surface_ring
+    rho = md.rho0_density(ring)
+    fam = cv.random_family(ring, 20, seed0=11, n=256)
+    rot = complex(math.cos(theta), math.sin(theta))
+    z, dz = rot * fam.z, rot * fam.dz
+    turned = dataclasses.replace(fam, z=z, dz=dz,
+                                 residual=cv.contact_residual(z, dz, fam.dt))
+    assert np.max(np.abs(turned.residual - fam.residual)) <= 1e-13
+    before, after = cv.line_integrals(rho, fam), cv.line_integrals(rho, turned)
+    assert np.max(np.abs(after - before) / before) <= 1e-13
+
+
+def _push(sim, curve):
+    """The image of a curve under an affine similarity, with its tangents."""
+    pts = [sim(heis.HPoint(complex(z), float(t))) for z, t in zip(curve.z, curve.t)]
+    base = sim(heis.ORIGIN)
+    vel = [sim(heis.HPoint(complex(dz), float(dt))) for dz, dt in zip(curve.dz, curve.dt)]
+    return cv.HorizontalCurve.from_samples(
+        curve.tau, [p.z for p in pts], [p.t for p in pts],
+        [v.z - base.z for v in vel], [v.t - base.t for v in vel])
+
+
+@pytest.mark.parametrize("sim", [heis.rotation(0.7), heis.rotation(-2.5),
+                                 heis.left_translation(heis.HPoint(0.8 - 1.3j, 0.4)),
+                                 heis.left_translation(heis.HPoint(-2.0 + 0.5j, -3.0))])
+def test_similarities_preserve_residual_and_length(sim):
+    for k in (-2.0, 0.0, 1.5):
+        curve = cv.cc_lift(k, 1.3, phi=0.2, n=256)
+        image = _push(sim, curve)
+        assert abs(image.residual - curve.residual) <= 1e-13
+        assert cv.horizontal_length(image) == pytest.approx(
+            cv.horizontal_length(curve), rel=1e-13)
