@@ -4,9 +4,9 @@ A curve is stored as dense arrays of ambient samples (z, t) with derivatives
 and, when generated in revolution coordinates, the tilde samples
 (xi, beta, phi) with their derivatives. Every constructor attaches a
 horizontality residual certificate. A CurveFamily holds many curves as one
-batch of (count, n+1) arrays on a shared grid; its generators and line
-integral work on whole chunks of curves, CHUNK_POINTS samples per call, and a
-single curve is a family of one.
+batch of (count, n+1) arrays on a shared grid. The generators, given arrays of
+parameters, and the line integral, given a family, work on whole chunks of
+curves, CHUNK_POINTS samples per call; a single curve is a family of one.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ class CurveFamily(_Samples):
     and a residual vector. Row ``i`` is ``family[i]``, a HorizontalCurve of
     views into the arrays."""
 
-    descriptor: str = ""
-
     def __len__(self):
         return len(self.residual)
 
@@ -131,47 +129,45 @@ def horizontal_length(curve: HorizontalCurve) -> float:
     return float(integrate.simpson(np.abs(curve.dz), x=curve.tau))
 
 
-def line_integrals(rho, family, with_error: bool = False):
-    """Horizontal line integrals of a density along every curve of a family.
+def line_integral(rho, curve, with_error: bool = False):
+    """Horizontal line integral of a density along a curve or a family.
 
     ``rho`` is a vectorized callable rho(z, t) >= 0, called once per chunk of
-    whole curves; a HorizontalCurve counts as a family of one. Composite
-    Simpson on the shared sample grid; the error estimate compares with half
-    resolution. Returns an array, or the pair (values, error estimates).
+    whole curves. Composite Simpson on the shared sample grid; the error
+    estimate compares with half resolution. A HorizontalCurve gives a float,
+    a CurveFamily an array of one value per row; ``with_error`` returns the
+    pair (values, error estimates).
     """
-    residual = np.atleast_1d(family.residual)
-    if np.any(residual > 1e-6):
+    if np.max(curve.residual) > 1e-6:
         raise NotHorizontalError(
-            f"curve residual {np.max(residual):.3e} too large for line integral"
+            f"curve residual {np.max(curve.residual):.3e} too large for line integral"
         )
-    z, t, dz = (np.atleast_2d(a) for a in (family.z, family.t, family.dz))
+    z, t, dz = (np.atleast_2d(a) for a in (curve.z, curve.t, curve.dz))
     vals = np.empty(z.shape)
     for k in _row_chunks(*z.shape):
         vals[k] = np.reshape(rho(z[k].ravel(), t[k].ravel()), vals[k].shape)
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("density is non-finite at a curve sample")
-    integrand, tau = vals * np.abs(dz), family.tau
-    if tau[0] == tau[-1]:
-        return (np.zeros(len(z)),) * 2 if with_error else np.zeros(len(z))
-    full = integrate.simpson(integrand, x=tau, axis=-1)
-    if not with_error:
-        return full
-    half = integrate.simpson(integrand[:, ::2], x=tau[::2], axis=-1)
-    return full, np.abs(full - half) / 15.0
+    integrand, tau = vals * np.abs(dz), curve.tau
 
+    def simpson(step):
+        if tau[0] == tau[-1]:
+            return np.zeros(len(z))
+        return integrate.simpson(integrand[:, ::step], x=tau[::step], axis=-1)
 
-def line_integral(rho, curve: HorizontalCurve, with_error: bool = False):
-    """``line_integrals`` of one curve: a float, or (value, error estimate)."""
-    out = line_integrals(rho, curve, with_error)
-    return (float(out[0][0]), float(out[1][0])) if with_error else float(out[0])
+    full = simpson(1)
+    out = (full, np.abs(full - simpson(2)) / 15.0) if with_error else (full,)
+    if isinstance(curve, HorizontalCurve):
+        out = tuple(float(v[0]) for v in out)
+    return out if with_error else out[0]
 
 
 # -- generators -------------------------------------------------------------------
 
 
-def _family(descriptor, tau, xi, beta, phi, dxi, dbeta, dphi, ps, dps) -> CurveFamily:
-    """Ambient samples Phi(xi, beta, phi) and their analytic derivatives from
-    tilde samples and the p* pair at beta, every row at once."""
+def _ambient(xi, phi, dxi, dbeta, dphi, ps, dps):
+    """(z, t, dz, dt) of Phi(xi, beta, phi) with analytic derivatives, from
+    tilde samples and the p* pair at beta."""
     re = np.real(-ps)
     z = np.exp(xi + 1j * phi) * np.sqrt(re)
     t = np.exp(2.0 * xi) * np.imag(ps)
@@ -180,37 +176,38 @@ def _family(descriptor, tau, xi, beta, phi, dxi, dbeta, dphi, ps, dps) -> CurveF
     dlog_term = dxi + 1j * dphi + 0.5 * (np.real(-dps) * dbeta / re)
     dz = z * dlog_term
     dt = 2.0 * dxi * t + np.exp(2.0 * xi) * np.imag(dps) * dbeta
-    return CurveFamily(tau, z, t, dz, dt, contact_residual(z, dz, dt), xi=xi, beta=beta,
-                       phi=phi, dxi=dxi, dbeta=dbeta, dphi=dphi, descriptor=descriptor)
+    return z, t, dz, dt
 
 
-def _quasiradials(ring, betas, phis, n: int, descriptor: str) -> CurveFamily:
-    """xi -> Phi(xi, beta, phi + tan(beta) xi) across the ring for every
-    (beta, phi) pair, beta-major; p* is evaluated once per beta."""
+def quasiradial(ring, beta, phi0, n: int = DEFAULT_RESOLUTION):
+    """The horizontal curve xi -> Phi(xi, beta, phi0 + tan(beta) xi) across the ring.
+
+    Arrays ``beta`` and ``phi0``, broadcast together, give the CurveFamily of
+    one curve per pair, in their flattened order; p* is evaluated once per
+    distinct beta.
+    """
+    betas, phis = (np.ravel(v) for v in np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                                            np.asarray(phi0, dtype=float)))
     if not np.all((BETA_LO < betas) & (betas < BETA_HI)):
-        raise ValueError(f"beta {betas} outside the open band")
+        raise ValueError(f"beta {beta} outside the open band")
+    distinct, row = np.unique(betas, return_inverse=True)
     xi = np.linspace(math.log(ring.a), math.log(ring.b), n + 1)
-    ps, dps = (np.repeat(v, phis.size)[:, None]
-               for v in revcoords.pstar_pair(ring.profile, betas))
-    tb = np.repeat([math.tan(b) for b in betas], phis.size)[:, None]
-    phi = np.tile(phis, betas.size)[:, None] + tb * xi
-    full = functools.partial(np.broadcast_to, shape=(betas.size * phis.size, n + 1))
-    return _family(descriptor, xi, full(xi), full(np.repeat(betas, phis.size)[:, None]), phi,
-                   full(1.0), full(0.0), full(tb), ps, dps)
-
-
-def quasiradial(ring, beta: float, phi0: float, n: int = DEFAULT_RESOLUTION) -> HorizontalCurve:
-    """The horizontal curve xi -> Phi(xi, beta, phi0 + tan(beta) xi) across the ring."""
-    return _quasiradials(ring, np.array([beta], dtype=float), np.array([phi0], dtype=float),
-                         n, "quasiradial")[0]
+    ps, dps = (v[row, None] for v in revcoords.pstar_pair(ring.profile, distinct))
+    tb = np.array([math.tan(b) for b in distinct])[row, None]
+    full = functools.partial(np.broadcast_to, shape=(betas.size, n + 1))
+    xis, phi, dxi, dbeta = full(xi), phis[:, None] + tb * xi, full(1.0), full(0.0)
+    z, t, dz, dt = _ambient(xis, phi, dxi, dbeta, full(tb), ps, dps)
+    fam = CurveFamily(xi, z, t, dz, dt, contact_residual(z, dz, dt), xi=xis,
+                      beta=full(betas[:, None]), phi=phi, dxi=dxi, dbeta=dbeta, dphi=full(tb))
+    return fam if np.ndim(beta) or np.ndim(phi0) else fam[0]
 
 
 def quasiradial_family(ring, n_beta: int = 64, n_phi: int = 64,
                        n: int = 256) -> CurveFamily:
-    """Quasiradials on a regular interior (beta, phi) grid."""
+    """Quasiradials on a regular interior (beta, phi) grid, beta-major."""
     betas = BETA_LO + (BETA_HI - BETA_LO) * (np.arange(1, n_beta + 1)) / (n_beta + 1)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return _quasiradials(ring, betas, phis, n, f"quasiradial grid {n_beta}x{n_phi}")
+    return quasiradial(ring, *(v.ravel() for v in np.meshgrid(betas, phis, indexing="ij")), n)
 
 
 def _random_draws(seed: int):
@@ -230,19 +227,20 @@ def _random_draws(seed: int):
     return c, d, phase, center, rng.uniform(0.0, 2.0 * math.pi)
 
 
-def random_family(ring, count: int, seed0: int = 0, n: int = 256) -> CurveFamily:
-    """Seeded random horizontal curves connecting the ring boundaries.
+def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
+    """Seeded random horizontal curve connecting the ring boundaries.
 
     xi(tau) is a smooth strictly increasing warp from log a to log b; beta(tau)
     is a low-order random Fourier path kept inside the safe band; phi comes
-    from integrating the horizontality condition. Curve i is a pure function
-    of the seed seed0 + i (its own counter-based Philox stream), so families
-    are reproducible and any row equals ``random_horizontal_curve``.
+    from integrating the horizontality condition. The curve is a pure function
+    of its seed (its own counter-based Philox stream). A 1-D array of seeds
+    gives the CurveFamily whose row i is the curve of seed[i], built in chunks
+    of whole curves with one p* call each.
     """
-    if count < 1:
-        raise ValueError(f"need at least one curve, got {count}")
-    c, d, phase, center, phi0 = map(np.array, zip(*map(_random_draws,
-                                                        range(seed0, seed0 + count))))
+    seeds = np.atleast_1d(seed)
+    if seeds.ndim != 1 or not seeds.size:
+        raise ValueError(f"need one seed or a 1-D array of seeds, got {seed!r}")
+    c, d, phase, center, phi0 = map(np.array, zip(*map(_random_draws, seeds.tolist())))
     la = math.log(ring.a)
     span = math.log(ring.b) - la
     j = np.arange(1, N_MODES + 1)[:, None]
@@ -252,28 +250,31 @@ def random_family(ring, count: int, seed0: int = 0, n: int = 256) -> CurveFamily
     jt = math.pi * np.outer(j, tau)
     sin_jt, cos_jt = np.sin(jt), np.cos(jt)
     kinds = dict(z=complex, t=float, dz=complex, dt=float, **dict.fromkeys(TILDE, float))
-    cols = {name: np.empty((count, n + 1), dtype=kind) for name, kind in kinds.items()}
-    cols["residual"] = np.empty(count)
-    for k in _row_chunks(count, tau.size):
+    cols = {name: np.empty((seeds.size, n + 1), dtype=kind) for name, kind in kinds.items()}
+    for k in _row_chunks(seeds.size, tau.size):
         ck, dk, arg = c[k, :, None], d[k, :, None], jt + phase[k, :, None]
         xi = la + span * (tau + np.sum(ck * sin_jt, axis=1))
         dxi = span * (1.0 + np.sum(ck * math.pi * j * cos_jt, axis=1))
         beta = center[k, None] + np.sum(dk * np.sin(arg), axis=1)
         dbeta = np.sum(dk * math.pi * j * np.cos(arg), axis=1)
         ps, dps = revcoords.pstar_pair(ring.profile, beta)
-        dphi = revcoords._horizontality_rhs(ps, dps, beta, dxi, dbeta)
+        dphi = revcoords.horizontality_rhs(ring.profile, beta, dxi, dbeta, pstar=(ps, dps))
         phi = phi0[k, None] + integrate.cumulative_simpson(dphi, x=tau, initial=0.0)
-        part = _family("", tau[::REFINE], *(v[:, ::REFINE] for v in (
-            xi, beta, phi, dxi, dbeta, dphi, ps, dps)))
-        for name, col in cols.items():
-            col[k] = getattr(part, name)
-    return CurveFamily(tau[::REFINE], descriptor=f"random family n={count} seed0={seed0}",
-                       **cols)
+        sel = (slice(None), slice(None, None, REFINE))
+        part = dict(xi=xi[sel], beta=beta[sel], phi=phi[sel], dxi=dxi[sel], dbeta=dbeta[sel],
+                    dphi=dphi[sel])
+        part.update(zip(("z", "t", "dz", "dt"), _ambient(
+            part["xi"], part["phi"], part["dxi"], part["dbeta"], part["dphi"], ps[sel], dps[sel])))
+        for name, v in part.items():
+            cols[name][k] = v
+    fam = CurveFamily(tau[::REFINE], residual=contact_residual(cols["z"], cols["dz"], cols["dt"]),
+                      **cols)
+    return fam if np.ndim(seed) else fam[0]
 
 
-def random_horizontal_curve(ring, seed: int, n: int = DEFAULT_RESOLUTION) -> HorizontalCurve:
-    """The seeded random curve of ``random_family``, as a family of one."""
-    return random_family(ring, 1, seed0=seed, n=n)[0]
+def random_family(ring, count: int, seed0: int = 0, n: int = 256) -> CurveFamily:
+    """The ``count`` random curves of seeds seed0, seed0 + 1, ... as one family."""
+    return random_horizontal_curve(ring, np.arange(seed0, seed0 + count), n)
 
 
 def cc_lift(k: float, R: float, phi: float = 0.0,

@@ -41,6 +41,10 @@ class HorVector:
     nu1: float
     nu2: float
 
+    @property
+    def norm(self) -> float:
+        return math.hypot(self.nu1, self.nu2)
+
 
 ORIGIN = HPoint(0j, 0.0)
 
@@ -83,6 +87,11 @@ def contact_eval(v: TangentVector) -> float:
     return v.c + 2.0 * (x * v.b - y * v.a)
 
 
+def frame_components(v: TangentVector) -> tuple[float, float, float]:
+    """Components of ``v`` on the left-invariant frame (X, Y, T)."""
+    return v.a, v.b, contact_eval(v)
+
+
 def apply_J(v: HorVector) -> HorVector:
     """Rotation by 90 degrees in the horizontal plane: J X = Y, J Y = -X."""
     return HorVector(v.base, -v.nu2, v.nu1)
@@ -102,11 +111,32 @@ def rotation(theta: float) -> Similarity:
     return lambda p: HPoint(p.z * phase, p.t)
 
 
+def dilation(delta: float) -> Similarity:
+    if not delta > 0.0:
+        raise ValueError(f"dilation factor must be positive, got {delta}")
+    return lambda p: dilate(delta, p)
+
+
 def inversion() -> Similarity:
     def apply(p: HPoint) -> HPoint:
         if p.z == 0 and p.t == 0.0:
             raise ValueError("inversion is undefined at the origin")
         alpha = koranyi_map(p)
         return HPoint(p.z / alpha, -p.t / abs(alpha) ** 2)
+
+    return apply
+
+
+def conjugation() -> Similarity:
+    return lambda p: HPoint(p.z.conjugate(), -p.t)
+
+
+def compose(*maps: Similarity) -> Similarity:
+    """Composition, applied right to left like function composition."""
+
+    def apply(p: HPoint) -> HPoint:
+        for m in reversed(maps):
+            p = m(p)
+        return p
 
     return apply

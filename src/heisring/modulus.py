@@ -208,7 +208,7 @@ def admissibility_report(ring: RevolutionRing, family: curves_mod.CurveFamily,
     """Line integrals of a density over a family; pass iff min >= 1 - slack."""
     if rho is None:
         rho = rho0_density(ring)
-    vals = curves_mod.line_integrals(rho, family)
+    vals = curves_mod.line_integral(rho, family)
     span = (float(np.min(vals)), float(np.max(vals))) if vals.size else (0.0, 1.0)
     if span[1] - span[0] < 1e-9 * max(1.0, abs(span[0])):
         # degenerate range (e.g. all quasiradials give exactly 1)

@@ -99,13 +99,10 @@ def jacobian(curve: ProfileCurve, xi, beta):
     return np.exp(4.0 * np.asarray(xi)) * np.abs(ps) ** 2
 
 
-def horizontality_rhs(curve: ProfileCurve, beta, dxi, dbeta):
-    """dphi demanded by the horizontality condition."""
-    return _horizontality_rhs(*pstar_pair(curve, np.asarray(beta)), beta, dxi, dbeta)
-
-
-def _horizontality_rhs(ps, dps, beta, dxi, dbeta):
-    """horizontality_rhs given the pair (p*, dp*/dbeta) at ``beta``."""
+def horizontality_rhs(curve: ProfileCurve, beta, dxi, dbeta, pstar=None):
+    """dphi demanded by the horizontality condition; ``pstar`` is the pair
+    (p*, dp*/dbeta) at ``beta`` when the caller already has it."""
+    ps, dps = pstar_pair(curve, np.asarray(beta)) if pstar is None else pstar
     return np.tan(np.asarray(beta)) * np.asarray(dxi) + \
         np.imag(dps) / (2.0 * np.real(ps)) * np.asarray(dbeta)
 

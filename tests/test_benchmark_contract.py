@@ -8,6 +8,7 @@ fail, so the contract is checked in the tier-1 suite.
 import ast
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -91,3 +92,26 @@ def test_byarg_eval_reaches_source_through_profilecurve_eval(ring):
     assert metrics["profiles.eval_byarg.calls"] == 1
     assert metrics["profiles.eval_native.calls"] >= 1
     assert metrics["profiles.native_per_byarg"] == metrics["profiles.eval_native.calls"]
+
+
+def test_family_work_runs_inside_traced_spans(ring):
+    # perfbench calls random_family and quasiradial_family, which the tracer
+    # does not wrap: their work must run inside the wrapped generators, or the
+    # curve layers read 0 and trace.span_cover_frac falls below its 0.95 gate
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        t0 = perf_counter()
+        fam = curves.random_family(ring, 20, seed0=0, n=64)
+        grid = curves.quasiradial_family(ring, n_beta=4, n_phi=4, n=64)
+        modulus.admissibility_report(ring, fam)
+        curves.line_integral(modulus.rho0_density(ring), grid)
+        wall = perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, {})
+    assert metrics["curves.random_horizontal_curve.calls"] == 1
+    assert metrics["curves.quasiradial.calls"] == 1
+    assert metrics["revcoords.horizontality_rhs.calls"] == 1
+    assert metrics["curves.line_integral.calls"] == 2
+    assert tracer.top_s >= 0.95 * wall

@@ -150,7 +150,7 @@ def test_export_csv(tmp_path):
     assert float(lines[1].split(",")[-1]) <= 1e-8
 
 
-# -- array families against their batch-of-one wrappers -----------------------
+# -- array families against single curves ------------------------------------
 
 SURFACES = {"koranyi": "koranyi_sphere", "bubble": "bubble_set", "cc": "cc_sphere"}
 FIELDS = ("z", "t", "dz", "dt", "residual")
@@ -185,17 +185,20 @@ def test_random_family_chunking_is_exact(monkeypatch, surface_ring):
     for name in FIELDS + cv.TILDE:
         assert _same(getattr(chunked, name), getattr(whole, name)), name
     rho = md.rho0_density(ring)
-    lis = cv.line_integrals(rho, chunked)
+    lis = cv.line_integral(rho, chunked)
     monkeypatch.setattr(cv, "CHUNK_POINTS", 2 ** 14)
-    assert _same(cv.line_integrals(rho, chunked), lis)
+    assert _same(cv.line_integral(rho, chunked), lis)
 
 
-def test_line_integrals_equal_single_curves(surface_ring):
+def test_family_line_integral_equals_single_curves(surface_ring):
     _, ring = surface_ring
     rho = md.rho0_density(ring)
     fam = cv.random_family(ring, 70, seed0=5, n=256)
-    batch = cv.line_integrals(rho, fam)
-    assert _same(batch, np.array([cv.line_integral(rho, c) for c in fam]))
+    batch, err = cv.line_integral(rho, fam, with_error=True)
+    singles = [cv.line_integral(rho, c, with_error=True) for c in fam]
+    assert isinstance(singles[0][0], float) and isinstance(singles[0][1], float)
+    assert _same(batch, np.array([v for v, _ in singles]))
+    assert _same(err, np.array([e for _, e in singles]))
 
 
 def test_quasiradial_family_rows_equal_single_curves(surface_ring):
@@ -227,6 +230,21 @@ def test_admissibility_report_is_pinned(surface_ring):
 def test_random_family_needs_a_curve():
     with pytest.raises(ValueError):
         cv.random_family(RING, 0)
+    with pytest.raises(ValueError):
+        cv.random_horizontal_curve(RING, [[1, 2]])
+
+
+def test_array_parameters_give_families():
+    seeds = np.array([3, 9, 4])
+    fam = cv.random_horizontal_curve(RING_B, seeds, n=64)
+    assert isinstance(fam, cv.CurveFamily) and fam.z.shape == (3, 65)
+    for i, seed in enumerate(seeds):
+        assert _same(fam.z[i], cv.random_horizontal_curve(RING_B, int(seed), n=64).z)
+    # beta and phi0 broadcast; repeated betas share one p* evaluation
+    grid = cv.quasiradial(RING_B, [2.0, 2.5, 2.0], 0.7, n=32)
+    assert isinstance(grid, cv.CurveFamily) and grid.z.shape == (3, 33)
+    assert _same(grid.z[0], grid.z[2])
+    assert _same(grid.z[1], cv.quasiradial(RING_B, 2.5, 0.7, n=32).z)
 
 
 # -- metamorphic: symmetries of the ring and of the group ----------------------
@@ -242,7 +260,7 @@ def test_rotation_about_t_axis_preserves_family(surface_ring, theta):
     turned = dataclasses.replace(fam, z=z, dz=dz,
                                  residual=cv.contact_residual(z, dz, fam.dt))
     assert np.max(np.abs(turned.residual - fam.residual)) <= 1e-13
-    before, after = cv.line_integrals(rho, fam), cv.line_integrals(rho, turned)
+    before, after = cv.line_integral(rho, fam), cv.line_integral(rho, turned)
     assert np.max(np.abs(after - before) / before) <= 1e-13
 
 
