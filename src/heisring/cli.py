@@ -16,7 +16,7 @@ import numpy as np
 
 from . import modulus as modulus_mod
 from . import surface as surface_mod
-from .curves import DEFAULT_RESOLUTION
+from .curves import DEFAULT_RESOLUTION, FAMILY_RESOLUTION
 from .profiles import ValidationError, catalog, parse_profile, validate
 
 SURFACE_ALIASES = {
@@ -53,18 +53,15 @@ def _resolve_profile(args):
     return catalog(full, R=args.R), name
 
 
-def _header(args, out=None):
-    out = out if out is not None else sys.stdout
-    print(f"# tol={args.tol:g} seed={args.seed} "
-          f"curves={getattr(args, 'curves', None) or 0} "
-          f"resolution={args.resolution}", file=out)
+def _header(args, out=None, resolution=None):
+    print(f"# tol={args.tol:g} seed={args.seed} curves={getattr(args, 'curves', None) or 0} "
+          f"resolution={args.resolution if resolution is None else resolution}", file=out)
 
 
-def _print_table(rows, out=None):
-    out = out if out is not None else sys.stdout
+def _print_table(rows):
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
-        print(f"{k:<{width}}  {v}", file=out)
+        print(f"{k:<{width}}  {v}")
 
 
 def cmd_validate(args) -> int:
@@ -111,11 +108,12 @@ def cmd_modulus(args) -> int:
         tol=min(args.tol, 1e-9),
     )
     adm, oracle = report.get("admissibility"), report.get("oracle")
+    ran = FAMILY_RESOLUTION if adm is not None else 0  # samples per curve that ran
     if args.json:
-        _header(args, out=sys.stderr)
+        _header(args, out=sys.stderr, resolution=ran)
         print(json.dumps(report))
     else:
-        _header(args)
+        _header(args, resolution=ran)
         rows = [("surface", name), ("a", f"{args.a:g}"), ("b", f"{args.b:g}"),
                 ("analytic", f"{report['analytic']:.12g}"),
                 ("numeric", f"{report['numeric']:.12g}"),

@@ -24,6 +24,7 @@ from . import revcoords
 from .profiles import BETA_HI, BETA_LO
 
 DEFAULT_RESOLUTION = 1024
+FAMILY_RESOLUTION = 256  # samples per curve of random_family
 CHUNK_POINTS = 2 ** 14  # samples per p* or density call; chunks hold whole curves
 N_MODES = 4  # Fourier modes of a random curve's xi warp and beta path
 REFINE = 4  # a random curve's phase is integrated on a REFINE x finer grid
@@ -272,7 +273,7 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
     return fam if np.ndim(seed) else fam[0]
 
 
-def random_family(ring, count: int, seed0: int = 0, n: int = 256) -> CurveFamily:
+def random_family(ring, count: int, seed0: int = 0, n: int = FAMILY_RESOLUTION) -> CurveFamily:
     """The ``count`` random curves of seeds seed0, seed0 + 1, ... as one family."""
     return random_horizontal_curve(ring, np.arange(seed0, seed0 + count), n)
 

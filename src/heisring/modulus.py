@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +22,10 @@ from . import revcoords
 from .heis import HPoint
 from .profiles import (BETA_HI, BETA_LO, ProfileCurve, ValidationError, arg_band,
                        clip_to_band, endpoint_limit, reparam_by_argument, validate)
+
+
+BRACKET_CELLS = 2 ** 12  # uniform beta cells of RevolutionRing.shell_bracket
+BRACKET_MARGIN = 1e-12  # relative rounding margin of the shell bracket
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,27 @@ class RevolutionRing:
     @property
     def box(self) -> revcoords.Box:
         return revcoords.Box((math.log(self.a), math.log(self.b)))
+
+    @cached_property
+    def shell_bracket(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lo, hi) of sqrt|p*(beta)| on BRACKET_CELLS uniform beta cells.
+
+        A cell spans its node values, with the |p*| range widened by the largest
+        log|p*| step of the cell and its neighbours, and by BRACKET_MARGIN. Edge
+        cells, and cells whose midpoint value falls outside, get (0, inf).
+        """
+        beta = BETA_LO + math.pi * np.arange(2 * BRACKET_CELLS + 1) / (2 * BRACKET_CELLS)
+        # eight pstar_pair calls keep the by-argument evaluator's temporaries small
+        s = np.sqrt(np.abs(np.concatenate([revcoords.pstar_pair(self.profile, clip_to_band(b))[0]
+                                           for b in np.array_split(beta, 8)])))
+        nodes, mids = s[::2], s[1::2]
+        step = np.pad(np.abs(np.diff(np.log(nodes))), 1)  # half the log|p*| step
+        widen = np.exp(np.maximum(np.maximum(step[:-2], step[1:-1]), step[2:]))
+        lo = np.minimum(nodes[:-1], nodes[1:]) / widen / (1.0 + BRACKET_MARGIN)
+        hi = np.maximum(nodes[:-1], nodes[1:]) * widen * (1.0 + BRACKET_MARGIN)
+        loose = (mids < lo) | (mids > hi)
+        loose[[0, -1]] = True
+        return np.where(loose, 0.0, lo), np.where(loose, np.inf, hi)
 
 
 def make_ring(curve: ProfileCurve, a: float, b: float,
@@ -78,22 +104,23 @@ class Location(enum.Enum):
     OUTSIDE = "outside"
 
 
-def _gauge_terms(ring: RevolutionRing, z, t):
-    """(|z|, |z|^4 + t^2, boundary ratio) at ambient points off the origin."""
-    z = np.asarray(z, dtype=complex)
+def _gauge_terms(z, t):
+    """(|z|, |z|^4 + t^2, gauge, beta) at ambient points off the origin."""
+    az = np.abs(np.asarray(z, dtype=complex))
     t = np.asarray(t, dtype=float)
-    az = np.abs(z)
     r4 = az ** 4 + t * t
     if np.any(r4 == 0.0):
         raise ValueError("boundary ratio and rho0 are undefined at the group origin")
-    beta = arg_band(-az ** 2 + 1j * t)
-    ps, _ = revcoords.pstar_pair(ring.profile, clip_to_band(beta))
-    return az, r4, r4 ** 0.25 / np.sqrt(np.abs(ps))
+    return az, r4, r4 ** 0.25, arg_band(-az ** 2 + 1j * t)
+
+
+def _ratio(ring: RevolutionRing, gauge, beta):
+    return gauge / np.sqrt(np.abs(revcoords.pstar_pair(ring.profile, clip_to_band(beta))[0]))
 
 
 def boundary_ratio(ring: RevolutionRing, z, t):
     """gauge(z,t) / |p*(arg alpha(z,t))|^(1/2); the ring is a < ratio < b."""
-    return _gauge_terms(ring, z, t)[2]
+    return _ratio(ring, *_gauge_terms(z, t)[2:])
 
 
 def membership(ring: RevolutionRing, p: HPoint, tol: float = 1e-9) -> Location:
@@ -111,10 +138,20 @@ def rho0_values(ring: RevolutionRing, z, t, closed: bool = True,
 
     With ``closed`` the indicator includes the boundary shells (a measure-zero
     change that keeps line integrals along boundary-touching curves exact).
+    Only points that the ring's shell bracket cannot classify evaluate p*.
     """
-    az, r4, ratio = _gauge_terms(ring, z, t)
+    az, r4, gauge, beta = _gauge_terms(z, t)
     pad = tol if closed else -tol
-    inside = (ratio > ring.a - pad) & (ratio < ring.b + pad)
+    lo, hi = ring.shell_bracket
+    cell = np.fmin((beta - BETA_LO) * (BRACKET_CELLS / math.pi),
+                   BRACKET_CELLS - 1).astype(np.intp)  # fmin sends nan to a (0, inf) cell
+    inside = np.asarray((gauge > ((ring.a - pad) * hi)[cell])
+                        & (gauge < ((ring.b + pad) * lo)[cell]))
+    check = ~(inside | (gauge < ((ring.a - pad) * lo)[cell])
+              | (gauge > ((ring.b + pad) * hi)[cell]))
+    if np.any(check):
+        ratio = _ratio(ring, gauge[check], beta[check])
+        inside[check] = (ratio > ring.a - pad) & (ratio < ring.b + pad)
     vals = az / np.sqrt(r4) / ring.log_ratio
     return np.where(inside, vals, 0.0)
 

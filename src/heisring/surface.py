@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .heis import HPoint, HorVector
+from .heis import HPoint
 from .profiles import ProfileCurve, koranyi_image
 
 
@@ -56,19 +56,6 @@ def horizontal_normal_components(surface: SurfacePatch, s, phi):
     dps = d * d * (-2.0 * f * fd + 1j * gd)  # dp* of the dilated profile
     w = np.exp(1j * np.asarray(phi)) * dps
     return -d * f * np.imag(w), d * f * np.real(w)
-
-
-def horizontal_normal(surface: SurfacePatch, s: float, phi: float) -> HorVector:
-    n1, n2 = horizontal_normal_components(surface, s, phi)
-    return HorVector(patch_eval(surface, s, phi), float(n1), float(n2))
-
-
-def unit_horizontal_normal(surface: SurfacePatch, s: float, phi: float) -> HorVector:
-    v = horizontal_normal(surface, s, phi)
-    n = v.norm
-    if n == 0.0:
-        raise ZeroDivisionError("characteristic point: horizontal normal vanishes")
-    return HorVector(v.base, v.nu1 / n, v.nu2 / n)
 
 
 def horizontal_area(surface: SurfacePatch, quad_n: int = 200, tol: float = 1e-10) -> float:

@@ -64,8 +64,24 @@ def test_modulus_header_reports_curves_run(capsys, extra, ran):
     code, out, _ = run(capsys, "modulus", "--surface", "koranyi",
                        "--a", "1", "--b", "2", *extra)
     assert code == 0
-    assert out.splitlines()[0] == (
-        f"# tol=1e-08 seed=0 curves={ran} resolution={curves.DEFAULT_RESOLUTION}")
+    assert out.splitlines()[0] == (  # random_family's 256 samples per curve ran
+        f"# tol=1e-08 seed=0 curves={ran} resolution={256 if ran else 0}")
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",), ("--resolution", "7")])
+def test_modulus_header_resolution_is_what_ran(monkeypatch, capsys, extra):
+    original, built = curves.random_family, []
+
+    def recording_family(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(curves, "random_family", recording_family)
+    code, out, err = run(capsys, "modulus", "--surface", "bubble", "--a", "1",
+                         "--b", "2", "--curves", "2", *extra)
+    assert code == 0 and len(built) == 1
+    header = (err if "--json" in extra else out).splitlines()[0]
+    assert header.endswith(f" curves=2 resolution={built[0].tau.size - 1}")
+    assert built[0].z.shape == (2, 257)
 
 
 def test_modulus_with_curves_and_oracle(capsys):

@@ -7,9 +7,10 @@ import pytest
 
 from heisring import curves as cv
 from heisring import modulus as md
+from heisring import revcoords as rc
 from heisring.heis import HPoint
-from heisring.profiles import (BETA_HI, BETA_LO, ValidationError, catalog,
-                               parse_profile)
+from heisring.profiles import (BETA_HI, BETA_LO, EvaluationError, ValidationError,
+                               catalog, clip_to_band, parse_profile, reparam_by_argument)
 from heisring.revcoords import RevPoint
 
 RING = md.make_ring(catalog("koranyi_sphere", 1.0), 1.0, 2.0)
@@ -96,6 +97,102 @@ def test_mc_modulus_chunking_is_exact(monkeypatch, ring):
     chunked = md.mc_modulus(ring, n=10 ** 6, seed=0)
     monkeypatch.setattr(md, "MC_CHUNK", 2 * 10 ** 6)
     assert md.mc_modulus(ring, n=10 ** 6, seed=0) == chunked
+
+
+# mc_modulus(ring (1, 2), n=10**6, seed) as (value, stderr) float hex, taken
+# before the shell bracket culled p*; seed 105 keeps the cc miss at -3.35 sigma
+MC_1E6 = {
+    ("koranyi", 0): ("0x1.da0138cfe266fp+4", "0x1.d584493c140e5p-5"),
+    ("koranyi", 105): ("0x1.d7976820f56adp+4", "0x1.d3a917fe1ae15p-5"),
+    ("bubble", 0): ("0x1.da10cab117d1ap+4", "0x1.24661b95631e8p-4"),
+    ("bubble", 105): ("0x1.d6f71c1ea080dp+4", "0x1.2321aac09a6bcp-4"),
+    ("cc", 0): ("0x1.da4045c4d65aap+4", "0x1.777b918d8909dp-5"),
+    ("cc", 105): ("0x1.d7bd695e95351p+4", "0x1.7549a87982548p-5"),
+}
+RINGS = {"koranyi": RING, "bubble": RING_B, "cc": RING_CC}
+
+
+@pytest.mark.parametrize("name, seed", sorted(MC_1E6))
+def test_mc_modulus_is_pinned(name, seed):
+    value, stderr = md.mc_modulus(RINGS[name], n=10 ** 6, seed=seed)
+    assert (value.hex(), stderr.hex()) == MC_1E6[name, seed]
+
+
+def _exact_rho0(ring, z, t, closed, tol, ratio=None):
+    """rho0 with the indicator taken from the exact boundary ratio everywhere."""
+    if ratio is None:
+        ratio = md.boundary_ratio(ring, z, t)
+    pad = tol if closed else -tol
+    az = np.abs(z)
+    vals = az / np.sqrt(az ** 4 + t * t) / ring.log_ratio
+    return np.where((ratio > ring.a - pad) & (ratio < ring.b + pad), vals, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_rho0_values_near_shells_match_exact_indicator(name):
+    # points within 1e-12 to 1e-3 (relative) of either shell, on both sides
+    ring = RINGS[name]
+    rng = np.random.Generator(np.random.Philox(key=11))
+    n = 2 * 10 ** 5
+    beta = rng.uniform(BETA_LO, BETA_HI, n)
+    offset = np.exp(rng.uniform(math.log(1e-12), math.log(1e-3), n))
+    radius = np.where(rng.random(n) < 0.5, ring.a, ring.b)
+    radius *= 1.0 + np.where(rng.random(n) < 0.5, offset, -offset)
+    z, t = rc.phi_map_arrays(ring.profile, np.log(radius), beta,
+                             rng.uniform(0.0, 2.0 * math.pi, n))
+    ratio = md.boundary_ratio(ring, z, t)
+    for closed in (True, False):
+        for tol in (0.0, 1e-9, 1e-6):
+            got = md.rho0_values(ring, z, t, closed=closed, tol=tol)
+            assert np.array_equal(got, _exact_rho0(ring, z, t, closed, tol, ratio))
+
+
+def test_rho0_values_keeps_scalar_and_broadcast_shapes():
+    # one point on each shell (exact test), one inside and one outside (culled)
+    z = np.array([2.0, 1.0j, 1.5, 3.0])[:, None] * np.exp(1j * np.array([0.0, 1.0]))
+    t = np.array([0.0, 0.0])
+    got = md.rho0_values(RING_CC, z, t)
+    assert got.shape == (4, 2)
+    for i, j in np.ndindex(got.shape):
+        one = md.rho0_values(RING_CC, z[i, j], t[j])
+        assert one.shape == () and one == got[i, j]
+    assert np.array_equal(got, _exact_rho0(RING_CC, z, t, True, 1e-9))
+    with pytest.raises(ValueError):
+        md.rho0_values(RING_CC, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    with pytest.raises(EvaluationError):  # a nan point takes the exact test
+        md.rho0_values(RING_CC, np.array([1.5, 1.0]), np.array([0.0, np.nan]))
+
+
+PARSED = {
+    "bubble": """param R = {R}
+f = 2*R*sin(s/(2*R))
+g = 2*R^2*sin(s/R) - 2*R*s + 2*pi*R^2
+domain = (0, 2*pi*R)""",
+    # not symmetric about beta = pi: the minimum of |p*| lies 0.92 of the way
+    # through its cell, where only the step widening covers it
+    "tilted": "param R = {R}; f = R*sin(s); g = R^2*(2*cos(s) + 0.6*sin(s)^2); "
+              "domain = (0, pi)",
+}
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("name", ["koranyi_sphere", "bubble_set", "cc_sphere",
+                                  "bubble", "tilted"])
+def test_shell_bracket_holds_on_dense_betas(name, R):
+    curve = (parse_profile(PARSED[name].format(R=R), name=name) if name in PARSED
+             else catalog(name, R))
+    ring = md.RevolutionRing(reparam_by_argument(curve), 1.0, 2.0)
+    lo, hi = ring.shell_bracket
+    assert lo.shape == hi.shape == (md.BRACKET_CELLS,)
+    assert np.count_nonzero(np.isinf(hi)) <= 8  # culling reaches almost every cell
+    beta = BETA_LO + math.pi * (np.arange(2 ** 20) + 0.5) / 2 ** 20
+    cell = (np.arange(2 ** 20) * md.BRACKET_CELLS) >> 20
+    room = 1.0 + md.BRACKET_MARGIN / 2  # bounds keep room for rounding
+    for k in range(0, 2 ** 20, 2 ** 16):
+        ps, _ = rc.pstar_pair(ring.profile, clip_to_band(beta[k:k + 2 ** 16]))
+        s = np.sqrt(np.abs(ps))
+        c = cell[k:k + 2 ** 16]
+        assert np.all(lo[c] * room <= s) and np.all(s * room <= hi[c])
 
 
 # -- admissibility -------------------------------------------------------------
