@@ -53,9 +53,9 @@ def _resolve_profile(args):
     return catalog(full, R=args.R), name
 
 
-def _header(args, out=None, resolution=None):
-    print(f"# tol={args.tol:g} seed={args.seed} curves={getattr(args, 'curves', None) or 0} "
-          f"resolution={args.resolution if resolution is None else resolution}", file=out)
+def _header(out=None, **settings):
+    """Reproducibility line: the settings that ran, in the order given."""
+    print("# " + " ".join(f"{k}={v}" for k, v in settings.items()), file=out)
 
 
 def _print_table(rows):
@@ -77,7 +77,7 @@ def cmd_validate(args) -> int:
              ("min -g'", f"{report.min_neg_gdot:.6g}"),
              ("min beta'", f"{report.min_beta_dot:.6g}")]
     if args.json:
-        _header(args, out=sys.stderr)
+        _header(out=sys.stderr, grid=args.grid)
         payload = {
             "surface": name,
             "passed": report.passed,
@@ -90,7 +90,7 @@ def cmd_validate(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        _header(args)
+        _header(grid=args.grid)
         _print_table(rows)
     return 0 if report.passed else 1
 
@@ -108,12 +108,16 @@ def cmd_modulus(args) -> int:
         tol=min(args.tol, 1e-9),
     )
     adm, oracle = report.get("admissibility"), report.get("oracle")
-    ran = FAMILY_RESOLUTION if adm is not None else 0  # samples per curve that ran
+    settings = {"tol": f"{args.tol:g}"}
+    if adm is not None or oracle is not None:  # only the curves and the oracle use the seed
+        settings["seed"] = args.seed
+    settings["curves"] = adm["n"] if adm is not None else 0
+    settings["resolution"] = FAMILY_RESOLUTION if adm is not None else 0  # samples per curve
     if args.json:
-        _header(args, out=sys.stderr, resolution=ran)
+        _header(out=sys.stderr, **settings)
         print(json.dumps(report))
     else:
-        _header(args, resolution=ran)
+        _header(**settings)
         rows = [("surface", name), ("a", f"{args.a:g}"), ("b", f"{args.b:g}"),
                 ("analytic", f"{report['analytic']:.12g}"),
                 ("numeric", f"{report['numeric']:.12g}"),
@@ -156,7 +160,7 @@ def cmd_geometry(args) -> int:
                 hh = "nan"
             writer.writerow([f"{s:.17g}", f"{f:.17g}", f"{g:.17g}",
                              f"{float(np.hypot(n1, n2)):.17g}", hh])
-    _header(args)
+    _header(scale=f"{args.scale:g}", resolution=n)
     rows = [("surface", name), ("horizontal area", f"{area:.12g}"),
             ("geometry csv", csv_path)]
     if args.flow is not None:
@@ -182,7 +186,7 @@ def cmd_export_mesh(args) -> int:
     out = args.out or f"{name.replace('/', '_')}.obj"
     obj_path, csv_path = surface_mod.export_mesh(patch, out, args.csv,
                                                  n_s=args.ns, n_phi=args.nphi)
-    _header(args)
+    _header(scale=f"{args.scale:g}", ns=args.ns, nphi=args.nphi)
     _print_table([("surface", name), ("obj", obj_path), ("csv", csv_path),
                   ("vertices", str(args.ns * args.nphi))])
     return 0
@@ -196,24 +200,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # each subcommand accepts only the flags its cmd_* reads
+    def add_profile(p):
         p.add_argument("--surface", choices=sorted(SURFACE_ALIASES))
         p.add_argument("--R", type=float, default=1.0)
         p.add_argument("--profile", metavar="PATH")
-        p.add_argument("--grid", type=int, default=4096)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--csv", metavar="PATH")
+
+    def add_patch(p):
+        add_profile(p)
         p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--csv", metavar="PATH")
 
     p = sub.add_parser("validate", help="check profile admissibility conditions")
-    add_common(p)
+    add_profile(p)
+    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("modulus", help="analytic vs numeric ring modulus")
-    add_common(p)
+    add_profile(p)
+    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--curves", type=int, metavar="N",
@@ -223,12 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_modulus)
 
     p = sub.add_parser("geometry", help="area, normals, curvature, flow curves")
-    add_common(p)
+    add_patch(p)
+    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     p.add_argument("--flow", metavar="S0,PHI0")
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("export-mesh", help="write a Wavefront OBJ mesh")
-    add_common(p)
+    add_patch(p)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--ns", type=int, default=128)
     p.add_argument("--nphi", type=int, default=64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from . import revcoords
 from .profiles import BETA_HI, BETA_LO
@@ -127,7 +127,7 @@ def horizontal_length(curve: HorizontalCurve) -> float:
         )
     if curve.tau[0] == curve.tau[-1]:
         return 0.0
-    return float(integrate.simpson(np.abs(curve.dz), x=curve.tau))
+    return float(scipy.integrate.simpson(np.abs(curve.dz), x=curve.tau))
 
 
 def line_integral(rho, curve, with_error: bool = False):
@@ -154,7 +154,7 @@ def line_integral(rho, curve, with_error: bool = False):
     def simpson(step):
         if tau[0] == tau[-1]:
             return np.zeros(len(z))
-        return integrate.simpson(integrand[:, ::step], x=tau[::step], axis=-1)
+        return scipy.integrate.simpson(integrand[:, ::step], x=tau[::step], axis=-1)
 
     full = simpson(1)
     out = (full, np.abs(full - simpson(2)) / 15.0) if with_error else (full,)
@@ -260,7 +260,7 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
         dbeta = np.sum(dk * math.pi * j * np.cos(arg), axis=1)
         ps, dps = revcoords.pstar_pair(ring.profile, beta)
         dphi = revcoords.horizontality_rhs(ring.profile, beta, dxi, dbeta, pstar=(ps, dps))
-        phi = phi0[k, None] + integrate.cumulative_simpson(dphi, x=tau, initial=0.0)
+        phi = phi0[k, None] + scipy.integrate.cumulative_simpson(dphi, x=tau, initial=0.0)
         sel = (slice(None), slice(None, None, REFINE))
         part = dict(xi=xi[sel], beta=beta[sel], phi=phi[sel], dxi=dxi[sel], dbeta=dbeta[sel],
                     dphi=dphi[sel])

@@ -161,10 +161,10 @@ def endpoint_limit(curve: ProfileCurve, side: str, index: int) -> float:
 
 def _refined_interior_touch(curve: ProfileCurve, grid, f, tol: float):
     """Parameter of a refined strict local minimum of f with value <= tol."""
-    from scipy import optimize
-
     inner = np.flatnonzero((f[1:-1] < f[:-2]) & (f[1:-1] <= f[2:])) + 1
     for i in inner:
+        from scipy import optimize  # loaded only when a local minimum exists
+
         res = optimize.minimize_scalar(
             lambda s: curve.eval(float(s))[0],
             bounds=(float(grid[i - 1]), float(grid[i + 1])), method="bounded",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .heis import HPoint
 from .profiles import (BETA_HI, BETA_LO, ProfileCurve, arg_band, clip_to_band,
@@ -153,8 +153,8 @@ def integrate_over_box(curve: ProfileCurve, f, box: Box, tol: float = 1e-9,
         phi = 0.5 * (p0 + p1) if phi_independent else x[:, 2]
         return f(xi, beta, phi) * jacobian(curve, xi, beta)
 
-    res = integrate.cubature(integrand, lo[:ndim], hi[:ndim], rule="gk21", rtol=tol,
-                             atol=0.0, max_subdivisions=MAX_SUBDIVISIONS)
+    res = scipy.integrate.cubature(integrand, lo[:ndim], hi[:ndim], rule="gk21", rtol=tol,
+                                   atol=0.0, max_subdivisions=MAX_SUBDIVISIONS)
     scale = (p1 - p0) if phi_independent else 1.0
     result, err = scale * float(res.estimate), scale * float(res.error)
     if res.status != "converged" or abs(err) > max(10.0 * tol * abs(result), 1e-13):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .heis import HPoint
 from .profiles import ProfileCurve, koranyi_image
@@ -74,8 +74,8 @@ def horizontal_area(surface: SurfacePatch, quad_n: int = 200, tol: float = 1e-10
         ps, dps, _ = img.all(s)
         return math.sqrt(float(np.real(-ps))) * float(np.abs(dps))
 
-    val, err = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=tol,
-                              limit=max(quad_n, 50))
+    val, err = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=tol,
+                                    limit=max(quad_n, 50))
     if abs(err) > max(100.0 * tol * abs(val), 1e-12):
         raise RuntimeError(f"area quadrature error estimate {err:.3e} too large")
     return 2.0 * math.pi * val * surface.scale ** 3
@@ -113,14 +113,14 @@ def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
         right = s_samples[s_samples >= s0]
         left = s_samples[s_samples < s0][::-1]
         if right.size:
-            sol = integrate.solve_ivp(rhs, (s0, right[-1]), [phi0], t_eval=right,
-                                      rtol=1e-12, atol=1e-12, method="RK45")
+            sol = scipy.integrate.solve_ivp(rhs, (s0, right[-1]), [phi0], t_eval=right,
+                                            rtol=1e-12, atol=1e-12, method="RK45")
             if not sol.success:
                 raise RuntimeError(f"flow integration failed: {sol.message}")
             phi[s_samples >= s0] = sol.y[0]
         if left.size:
-            sol = integrate.solve_ivp(rhs, (s0, left[-1]), [phi0], t_eval=left,
-                                      rtol=1e-12, atol=1e-12, method="RK45")
+            sol = scipy.integrate.solve_ivp(rhs, (s0, left[-1]), [phi0], t_eval=left,
+                                            rtol=1e-12, atol=1e-12, method="RK45")
             if not sol.success:
                 raise RuntimeError(f"flow integration failed: {sol.message}")
             phi[s_samples < s0] = sol.y[0][::-1]

@@ -64,11 +64,12 @@ def test_modulus_header_reports_curves_run(capsys, extra, ran):
     code, out, _ = run(capsys, "modulus", "--surface", "koranyi",
                        "--a", "1", "--b", "2", *extra)
     assert code == 0
+    seed = " seed=0" if ran else ""  # the seed shows only when a random check ran
     assert out.splitlines()[0] == (  # random_family's 256 samples per curve ran
-        f"# tol=1e-08 seed=0 curves={ran} resolution={256 if ran else 0}")
+        f"# tol=1e-08{seed} curves={ran} resolution={256 if ran else 0}")
 
 
-@pytest.mark.parametrize("extra", [(), ("--json",), ("--resolution", "7")])
+@pytest.mark.parametrize("extra", [(), ("--json",), ("--seed", "5")])
 def test_modulus_header_resolution_is_what_ran(monkeypatch, capsys, extra):
     original, built = curves.random_family, []
 
@@ -82,6 +83,35 @@ def test_modulus_header_resolution_is_what_ran(monkeypatch, capsys, extra):
     header = (err if "--json" in extra else out).splitlines()[0]
     assert header.endswith(f" curves=2 resolution={built[0].tau.size - 1}")
     assert built[0].z.shape == (2, 257)
+
+
+@pytest.mark.parametrize("argv", [
+    ("modulus", "--surface", "koranyi", "--a", "1", "--b", "2", "--scale", "5"),
+    ("modulus", "--surface", "koranyi", "--a", "1", "--b", "2", "--resolution", "7"),
+    ("modulus", "--surface", "koranyi", "--a", "1", "--b", "2", "--csv", "x.csv"),
+    ("validate", "--surface", "koranyi", "--tol", "1e-3"),
+    ("geometry", "--surface", "koranyi", "--seed", "3"),
+    ("export-mesh", "--surface", "koranyi", "--grid", "64"),
+])
+def test_flags_a_subcommand_ignores_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_header_lists_only_settings_that_ran(tmp_path, capsys):
+    _, out, _ = run(capsys, "validate", "--surface", "koranyi")
+    assert out.splitlines()[0] == "# grid=4096"
+    _, out, _ = run(capsys, "modulus", "--surface", "koranyi", "--a", "1",
+                    "--b", "2", "--oracle")
+    assert out.splitlines()[0] == "# tol=1e-08 seed=0 curves=0 resolution=0"
+    _, out, _ = run(capsys, "geometry", "--surface", "koranyi", "--resolution", "8",
+                    "--csv", str(tmp_path / "g.csv"))
+    assert out.splitlines()[0] == "# scale=1 resolution=8"
+    _, out, _ = run(capsys, "export-mesh", "--surface", "koranyi", "--ns", "4",
+                    "--nphi", "4", "--scale", "2", "--out", str(tmp_path / "m.obj"))
+    assert out.splitlines()[0] == "# scale=2 ns=4 nphi=4"
 
 
 def test_modulus_with_curves_and_oracle(capsys):
