@@ -21,14 +21,13 @@ import numpy as np
 import scipy
 
 from . import revcoords
-from .profiles import BETA_HI, BETA_LO
+from .profiles import BAND_MARGIN, BETA_HI, BETA_LO
 
 DEFAULT_RESOLUTION = 1024
 FAMILY_RESOLUTION = 256  # samples per curve of random_family
 CHUNK_POINTS = 2 ** 14  # samples per p* or density call; chunks hold whole curves
 N_MODES = 4  # Fourier modes of a random curve's xi warp and beta path
 REFINE = 4  # a random curve's phase is integrated on a REFINE x finer grid
-BAND_MARGIN = 1e-3  # a random beta path stays this far inside the band
 
 
 class NotHorizontalError(ValueError):
@@ -117,17 +116,6 @@ def _row_chunks(rows: int, width: int):
     """Slices of whole rows, each at most CHUNK_POINTS samples (one row at least)."""
     step = max(1, CHUNK_POINTS // width)
     return (slice(i, i + step) for i in range(0, rows, step))
-
-
-def horizontal_length(curve: HorizontalCurve) -> float:
-    """Composite quadrature of the horizontal speed over the sample grid."""
-    if curve.residual > 1e-6:
-        raise NotHorizontalError(
-            f"curve residual {curve.residual:.3e} too large for length computation"
-        )
-    if curve.tau[0] == curve.tau[-1]:
-        return 0.0
-    return float(scipy.integrate.simpson(np.abs(curve.dz), x=curve.tau))
 
 
 def line_integral(rho, curve, with_error: bool = False):

@@ -83,11 +83,6 @@ def contact_eval(v: TangentVector) -> float:
     return v.c + 2.0 * (x * v.b - y * v.a)
 
 
-def apply_J(v: HorVector) -> HorVector:
-    """Rotation by 90 degrees in the horizontal plane: J X = Y, J Y = -X."""
-    return HorVector(v.base, -v.nu2, v.nu1)
-
-
 # -- similarities --------------------------------------------------------------
 
 Similarity = Callable[[HPoint], HPoint]

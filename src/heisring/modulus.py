@@ -9,19 +9,18 @@ a restricted convex-optimization oracle for the lower bound.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import curves as curves_mod
 from . import revcoords
 from .heis import HPoint
-from .profiles import (BETA_HI, BETA_LO, ProfileCurve, ValidationError, arg_band,
-                       clip_to_band, endpoint_limit, reparam_by_argument, validate)
+from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, ValidationError,
+                       arg_band, clip_to_band, endpoint_limit, reparam_by_argument, validate)
 
 
 BRACKET_CELLS = 2 ** 12  # uniform beta cells of RevolutionRing.shell_bracket
@@ -59,8 +58,11 @@ class RevolutionRing:
         cells, and cells whose midpoint value falls outside, get (0, inf).
         """
         beta = BETA_LO + math.pi * np.arange(2 * BRACKET_CELLS + 1) / (2 * BRACKET_CELLS)
+        # the edge cells get (0, inf) whatever their outer nodes, so those sit
+        # EDGE_OFFSET inside the band, where every profile's inversion reaches
+        beta = np.clip(beta, BETA_LO + EDGE_OFFSET, BETA_HI - EDGE_OFFSET)
         # eight pstar_pair calls keep the by-argument evaluator's temporaries small
-        s = np.sqrt(np.abs(np.concatenate([revcoords.pstar_pair(self.profile, clip_to_band(b))[0]
+        s = np.sqrt(np.abs(np.concatenate([revcoords.pstar_pair(self.profile, b)[0]
                                            for b in np.array_split(beta, 8)])))
         nodes, mids = s[::2], s[1::2]
         step = np.pad(np.abs(np.diff(np.log(nodes))), 1)  # half the log|p*| step
@@ -98,12 +100,6 @@ def make_ring(curve: ProfileCurve, a: float, b: float,
     return RevolutionRing(reparam_by_argument(curve), a, b)
 
 
-class Location(enum.Enum):
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
 def _gauge_terms(z, t):
     """(|z|, |z|^4 + t^2, gauge, beta) at ambient points off the origin."""
     az = np.abs(np.asarray(z, dtype=complex))
@@ -121,15 +117,6 @@ def _ratio(ring: RevolutionRing, gauge, beta):
 def boundary_ratio(ring: RevolutionRing, z, t):
     """gauge(z,t) / |p*(arg alpha(z,t))|^(1/2); the ring is a < ratio < b."""
     return _ratio(ring, *_gauge_terms(z, t)[2:])
-
-
-def membership(ring: RevolutionRing, p: HPoint, tol: float = 1e-9) -> Location:
-    ratio = float(boundary_ratio(ring, p.z, p.t))
-    if abs(ratio - ring.a) <= tol or abs(ratio - ring.b) <= tol:
-        return Location.BOUNDARY
-    if ring.a < ratio < ring.b:
-        return Location.INSIDE
-    return Location.OUTSIDE
 
 
 def rho0_values(ring: RevolutionRing, z, t, closed: bool = True,
@@ -181,12 +168,11 @@ def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9) -> float:
     """
     prof = ring.profile
 
-    def f(xi, beta, phi):
-        z, t = revcoords.phi_map_arrays(prof, xi, beta, phi)
+    def f(xi, beta):
+        z, t = revcoords.phi_map_arrays(prof, xi, beta, math.pi)
         return rho0_values(ring, z, t) ** 4
 
-    return revcoords.integrate_over_box(prof, f, ring.box, tol=tol,
-                                        phi_independent=True)
+    return revcoords.integrate_over_box(prof, f, ring.box, tol=tol)
 
 
 MC_CHUNK = 2 ** 16  # points per rho0_values call; bounds the per-point working set
@@ -200,7 +186,7 @@ def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
     Cartesian coordinates; completely independent of revolution coordinates.
     The density is evaluated MC_CHUNK samples at a time.
     """
-    beta_grid = np.linspace(BETA_LO + 1e-9, BETA_HI - 1e-9, 20001)
+    beta_grid = np.linspace(BETA_LO + EDGE_OFFSET, BETA_HI - EDGE_OFFSET, 20001)
     ps, _ = revcoords.pstar_pair(ring.profile, beta_grid)
     zmax = 1.0001 * ring.b * float(np.sqrt(np.max(np.real(-ps))))
     tmax = 1.0001 * ring.b ** 2 * float(np.max(np.imag(ps)))
@@ -232,20 +218,16 @@ class AdmissibilityReport:
     mean: float
     histogram: tuple
     bin_edges: tuple
-    slack: float
 
     @property
     def passed(self) -> bool:
-        return self.min >= 1.0 - self.slack
+        return self.min >= 1.0 - ADMISSIBILITY_SLACK
 
 
-def admissibility_report(ring: RevolutionRing, family: curves_mod.CurveFamily,
-                         rho: Optional[Callable] = None,
-                         slack: float = ADMISSIBILITY_SLACK) -> AdmissibilityReport:
-    """Line integrals of a density over a family; pass iff min >= 1 - slack."""
-    if rho is None:
-        rho = rho0_density(ring)
-    vals = curves_mod.line_integral(rho, family)
+def admissibility_report(ring: RevolutionRing,
+                         family: curves_mod.CurveFamily) -> AdmissibilityReport:
+    """rho0 line integrals over a family; pass iff min >= 1 - ADMISSIBILITY_SLACK."""
+    vals = curves_mod.line_integral(rho0_density(ring), family)
     span = (float(np.min(vals)), float(np.max(vals))) if vals.size else (0.0, 1.0)
     if span[1] - span[0] < 1e-9 * max(1.0, abs(span[0])):
         # degenerate range (e.g. all quasiradials give exactly 1)
@@ -257,7 +239,6 @@ def admissibility_report(ring: RevolutionRing, family: curves_mod.CurveFamily,
         mean=float(np.mean(vals)) if vals.size else math.nan,
         histogram=tuple(int(h) for h in hist),
         bin_edges=tuple(float(e) for e in edges),
-        slack=slack,
     )
 
 
@@ -279,8 +260,11 @@ def _project_scaled_simplex(h: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(h - lam, 0.0)
 
 
-def restricted_oracle(ring: RevolutionRing, n_bins: int, seed: int = 0,
-                      grad_tol: float = 1e-12, max_iter: int = 200000):
+ORACLE_GRAD_TOL = 1e-12  # relative projected-gradient size at which the oracle stops
+ORACLE_MAX_ITER = 200000  # projected-gradient steps before the oracle gives up
+
+
+def restricted_oracle(ring: RevolutionRing, n_bins: int, seed: int = 0):
     """Minimize pi^2 sum(h^4) dxi over piecewise-constant radial profiles.
 
     Constraint: h >= 0, sum(h) dxi = 1 (unit line integral on every
@@ -302,7 +286,7 @@ def restricted_oracle(ring: RevolutionRing, n_bins: int, seed: int = 0,
 
     obj = objective(h)
     step = 1.0 / (12.0 * math.pi ** 2 * float(np.max(h)) ** 2 * dxi)
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         grad = 4.0 * math.pi ** 2 * h ** 3 * dxi
         trial_step = step
         for _bt in range(60):
@@ -317,7 +301,7 @@ def restricted_oracle(ring: RevolutionRing, n_bins: int, seed: int = 0,
         move = float(np.max(np.abs(h_new - h)))
         h, obj = h_new, obj_new
         pg_norm = move / trial_step
-        if pg_norm <= grad_tol * max(1.0, float(np.max(np.abs(grad)))):
+        if pg_norm <= ORACLE_GRAD_TOL * max(1.0, float(np.max(np.abs(grad)))):
             break
     else:
         raise OptimizationError("projected gradient did not converge")

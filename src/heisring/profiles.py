@@ -63,31 +63,27 @@ class ProfileCurve:
         return out
 
 
-@dataclass(frozen=True)
-class KoranyiImage:
-    """The image p*(s) = -f^2 + i g of a profile curve with derivatives."""
+def _image(values):
+    """(p*, dp*) from the evaluator's six values (f, fd, fdd, g, gd, gdd)."""
+    f, fd, _, g, gd, _ = values
+    return -f * f + 1j * g, -2.0 * f * fd + 1j * gd
 
-    curve: ProfileCurve
 
-    def value(self, s):
-        f, fd, fdd, g, gd, gdd = self.curve.eval(s)
-        return -f * f + 1j * g
+def koranyi_image(curve: ProfileCurve, s):
+    """The Koranyi image p*(s) = -f^2 + i g of a profile and its derivative dp*/ds."""
+    return _image(curve.eval(s))
 
-    def all(self, s):
-        """(p*, dp*, ddp*) in one evaluator call."""
-        f, fd, fdd, g, gd, gdd = self.curve.eval(s)
-        ps = -f * f + 1j * g
-        dps = -2.0 * f * fd + 1j * gd
-        ddps = -2.0 * (fd * fd + f * fdd) + 1j * gdd
-        return ps, dps, ddps
 
-    def beta(self, s):
-        """Argument of p* taken in (pi/2, 3pi/2)."""
-        return arg_band(self.value(s))
+def arg_rate(ps, dps):
+    """d arg p* / ds = Im(conj(p*) dp*) / |p*|^2."""
+    return np.imag(np.conj(ps) * dps) / np.abs(ps) ** 2
 
-    def beta_dot(self, s):
-        ps, dps, _ = self.all(s)
-        return np.imag(np.conj(ps) * dps) / np.abs(ps) ** 2
+
+# Band-edge offsets, one per reason:
+BAND_CLIP = 1e-15  # p* is evaluated this far inside the open band
+EDGE_OFFSET = 1e-9  # quadrature and sampling grids keep this distance from the band edges
+REPARAM_CLAMP = 1e-12  # the inversion's s stays this fraction of the domain inside it
+BAND_MARGIN = 1e-3  # a random beta path stays this far inside the band
 
 
 def arg_band(w):
@@ -97,12 +93,8 @@ def arg_band(w):
 
 
 def clip_to_band(beta):
-    """beta clipped 1e-15 inside the open band, where p* is defined."""
-    return np.clip(beta, BETA_LO + 1e-15, BETA_HI - 1e-15)
-
-
-def koranyi_image(curve: ProfileCurve) -> KoranyiImage:
-    return KoranyiImage(curve)
+    """beta clipped BAND_CLIP inside the open band, where p* is defined."""
+    return np.clip(beta, BETA_LO + BAND_CLIP, BETA_HI - BAND_CLIP)
 
 
 # -- validation ----------------------------------------------------------------
@@ -185,12 +177,11 @@ def validate(curve: ProfileCurve, grid_n: int = 4096) -> ValidationReport:
         raise ValueError("grid_n must be at least 16")
     lo, hi = curve.domain
     grid = np.linspace(lo, hi, grid_n + 2)[1:-1]
-    f, fd, fdd, g, gd, gdd = curve.eval(grid)
-    img = koranyi_image(curve)
-    bdot = img.beta_dot(grid)
+    values = curve.eval(grid)
+    f, _, _, _, gd, _ = values
+    bdot = arg_rate(*_image(values))
 
     scale_f = max(1.0, float(np.max(np.abs(f))))
-    scale_g = max(1.0, float(np.max(np.abs(g))))
 
     # (A1): f > 0 inside, f -> 0 at both endpoints. A tangency of f with zero
     # can slip between grid points, so strict interior local minima of the
@@ -246,33 +237,34 @@ class ReparamError(RuntimeError):
     """Numeric inversion of s -> beta(s) failed."""
 
 
+REPARAM_TOL = 1e-12  # arg residual at which the inversion's Newton iteration stops
 POLISH_TOL = 2e-15  # arg residual above which a converged point takes a polishing step
+SEED_N = 4096  # cells of the monotone beta(s) sample that seeds the inversion
 
 
-def reparam_by_argument(curve: ProfileCurve, tol: float = 1e-12,
-                        seed_n: int = 4096) -> ProfileCurve:
+def reparam_by_argument(curve: ProfileCurve) -> ProfileCurve:
     """Reparametrize a validated profile by its Koranyi argument beta.
 
     The inverse s(beta) is found by Newton iterations seeded from a dense
     monotone sample of beta(s) (bracketing is guaranteed by monotonicity).
     Each step evaluates the source curve once, at the points whose arg
-    residual is still above ``tol``. Derivatives come from the inverse-function
-    rule at each point's last evaluation, so every output is a pure function
-    of its own beta: a batch, its pieces and scalar calls agree bit for bit.
+    residual is still above REPARAM_TOL. Targets are clipped to the sampled
+    range of beta(s), which the clamped s can reach. Derivatives come from the
+    inverse-function rule at each point's last evaluation, so every output is
+    a pure function of its own beta: a batch, its pieces and scalar calls
+    agree bit for bit.
     """
     if curve.by_argument:
         return curve
-    img = koranyi_image(curve)
     lo, hi = curve.domain
-    eps = 1e-12 * (hi - lo)
-    s_grid = np.linspace(lo + eps, hi - eps, seed_n + 1)
-    beta_grid = np.asarray(img.beta(s_grid))
+    eps = REPARAM_CLAMP * (hi - lo)
+    s_grid = np.linspace(lo + eps, hi - eps, SEED_N + 1)
+    beta_grid = arg_band(koranyi_image(curve, s_grid)[0])
     if np.any(np.diff(beta_grid) <= 0):
         raise ReparamError(f"beta(s) is not strictly increasing for {curve.name!r}")
-    tol = max(tol, 1e-15)
 
     def evaluator(beta):
-        b = np.ravel(beta)
+        b = np.clip(np.ravel(beta), beta_grid[0], beta_grid[-1])
         s = np.interp(b, beta_grid, s_grid)
         last = np.empty((6, b.size))  # f ... gdd at each point's last step
         resid = np.zeros(b.size)  # zero residual: the first step evaluates the seed
@@ -281,29 +273,28 @@ def reparam_by_argument(curve: ProfileCurve, tol: float = 1e-12,
         def newton_step(idx):
             s[idx] = np.clip(s[idx] - resid[idx] / bdot[idx], lo + eps, hi - eps)
             last[:, idx] = out = curve.eval(s[idx])
-            f, fd, _, g, gd, _ = out
-            ps = -f * f + 1j * g
+            ps, dps = _image(out)
             resid[idx] = arg_band(ps) - b[idx]
-            bdot[idx] = np.imag(np.conj(ps) * (-2.0 * f * fd + 1j * gd)) / np.abs(ps) ** 2
+            bdot[idx] = arg_rate(ps, dps)
 
-        # Below tol, a point above POLISH_TOL takes polishing steps while each
-        # cuts its residual fourfold: one step in general, a few near a band
-        # edge, where beta(s) is flat.
+        # Below REPARAM_TOL, a point above POLISH_TOL takes polishing steps
+        # while each cuts its residual fourfold: one step in general, a few
+        # near a band edge, where beta(s) is flat.
         idx = np.arange(b.size)
         prev = np.full(b.size, np.inf)  # residual before the step; inf above tol
         for _ in range(80):
             newton_step(idx)
             r = np.abs(resid[idx])
-            keep = (r > tol) | ((r > POLISH_TOL) & (4.0 * r < prev))
-            idx, prev = idx[keep], np.where(r > tol, np.inf, r)[keep]
+            keep = (r > REPARAM_TOL) | ((r > POLISH_TOL) & (4.0 * r < prev))
+            idx, prev = idx[keep], np.where(r > REPARAM_TOL, np.inf, r)[keep]
             if not idx.size:
                 break
         else:
             raise ReparamError(f"inversion of beta(s) did not converge for {curve.name!r}")
 
         f, fd, fdd, g, gd, gdd = last
-        ps = -f * f + 1j * g
-        cdps = np.conj(ps) * (-2.0 * f * fd + 1j * gd)
+        ps, dps = _image(last)
+        cdps = np.conj(ps) * dps
         cddps = np.conj(ps) * (-2.0 * (fd * fd + f * fdd) + 1j * gdd)
         bddot = (np.imag(cddps) - 2.0 * bdot * np.real(cdps)) / np.abs(ps) ** 2
         sp = 1.0 / bdot

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .heis import HPoint
-from .profiles import (BETA_HI, BETA_LO, ProfileCurve, arg_band, clip_to_band,
-                       koranyi_image)
+from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, arg_band,
+                       clip_to_band, koranyi_image)
 
-EDGE_OFFSET = 1e-9  # quadrature/sampling keeps this distance from the band edges
 MAX_SUBDIVISIONS = 200  # cap on the adaptive cubature's region splits
 
 
@@ -34,8 +32,6 @@ class RevPoint:
 @dataclass(frozen=True)
 class Box:
     xi_range: tuple[float, float]
-    beta_range: tuple[float, float] = (BETA_LO, BETA_HI)
-    phi_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
         if not self.xi_range[0] < self.xi_range[1]:
@@ -57,7 +53,7 @@ def _require_by_argument(curve: ProfileCurve):
 def pstar_pair(curve: ProfileCurve, beta):
     """(p*(beta), dp*/dbeta) for a by-argument profile."""
     _require_by_argument(curve)
-    return koranyi_image(curve).all(beta)[:2]
+    return koranyi_image(curve, beta)
 
 
 def phi_map_arrays(curve: ProfileCurve, xi, beta, phi):
@@ -66,11 +62,6 @@ def phi_map_arrays(curve: ProfileCurve, xi, beta, phi):
     z = np.exp(xi + 1j * np.asarray(phi)) * np.sqrt(np.real(-ps))
     t = np.exp(2.0 * np.asarray(xi)) * np.imag(ps)
     return z, t
-
-
-def phi_map(curve: ProfileCurve, q: RevPoint) -> HPoint:
-    z, t = phi_map_arrays(curve, q.xi, q.beta, q.phi)
-    return HPoint(complex(z), float(t))
 
 
 def phi_inv_arrays(curve: ProfileCurve, z, t):
@@ -86,11 +77,6 @@ def phi_inv_arrays(curve: ProfileCurve, z, t):
     xi = 0.5 * np.log(np.abs(alpha) / np.abs(ps))
     phi = np.mod(np.angle(z), 2.0 * math.pi)
     return xi, beta, phi
-
-
-def phi_inv(curve: ProfileCurve, p: HPoint) -> RevPoint:
-    xi, beta, phi = phi_inv_arrays(curve, p.z, p.t)
-    return RevPoint(float(xi), float(beta), float(phi))
 
 
 def jacobian(curve: ProfileCurve, xi, beta):
@@ -117,25 +103,14 @@ def horizontal_speed(curve: ProfileCurve, xi, beta, dxi, dbeta):
         np.abs(ps * np.asarray(dxi) + 0.5 * dps * np.asarray(dbeta))
 
 
-def contact_form_components(curve: ProfileCurve, xi, beta):
-    """Coefficients (w_xi, w_beta, w_phi) of the contact form in revolution
-    coordinates: omega = 2 e^(2xi) Im p* dxi + e^(2xi) Im dp* dbeta
-    - 2 e^(2xi) Re p* dphi."""
-    ps, dps = pstar_pair(curve, np.asarray(beta))
-    e2 = np.exp(2.0 * np.asarray(xi))
-    return 2.0 * e2 * np.imag(ps), e2 * np.imag(dps), -2.0 * e2 * np.real(ps)
+def integrate_over_box(curve: ProfileCurve, f, box: Box, tol: float = 1e-9) -> float:
+    """Integral of a phi-independent f(xi, beta) against the coordinate Jacobian
+    over ``box`` and the full turn in phi.
 
-
-def integrate_over_box(curve: ProfileCurve, f, box: Box, tol: float = 1e-9,
-                       phi_independent: bool = False) -> float:
-    """Integral of f(xi, beta, phi) against the coordinate Jacobian over ``box``.
-
-    One adaptive product Gauss-Kronrod (GK21) cubature over (xi, beta), or
-    over (xi, beta, phi) unless the caller declares f independent of phi, in
-    which case the phi factor is integrated exactly. ``f`` receives whole node
-    arrays (phi is the scalar midpoint when phi-independent); its result is
+    One adaptive product Gauss-Kronrod (GK21) cubature over (xi, beta); the
+    phi factor 2 pi is exact. ``f`` receives whole node arrays; its result is
     broadcast against them, so a constant such as ``lambda *_: 1.0`` works.
-    Band edges are avoided by a fixed offset; the integrand there carries a
+    Band edges are avoided by EDGE_OFFSET; the integrand there carries a
     vanishing cos^2(beta)-type weight for all densities of interest.
 
     Raises IntegrationError when the cubature has not converged to relative
@@ -143,20 +118,15 @@ def integrate_over_box(curve: ProfileCurve, f, box: Box, tol: float = 1e-9,
     estimate for the whole integral exceeds max(10 tol |result|, 1e-13).
     """
     _require_by_argument(curve)
-    p0, p1 = box.phi_range
-    lo = [box.xi_range[0], max(box.beta_range[0], BETA_LO + EDGE_OFFSET), p0]
-    hi = [box.xi_range[1], min(box.beta_range[1], BETA_HI - EDGE_OFFSET), p1]
-    ndim = 2 if phi_independent else 3
 
     def integrand(x):
         xi, beta = x[:, 0], x[:, 1]
-        phi = 0.5 * (p0 + p1) if phi_independent else x[:, 2]
-        return f(xi, beta, phi) * jacobian(curve, xi, beta)
+        return f(xi, beta) * jacobian(curve, xi, beta)
 
-    res = scipy.integrate.cubature(integrand, lo[:ndim], hi[:ndim], rule="gk21", rtol=tol,
-                                   atol=0.0, max_subdivisions=MAX_SUBDIVISIONS)
-    scale = (p1 - p0) if phi_independent else 1.0
-    result, err = scale * float(res.estimate), scale * float(res.error)
+    res = scipy.integrate.cubature(integrand, [box.xi_range[0], BETA_LO + EDGE_OFFSET],
+                                   [box.xi_range[1], BETA_HI - EDGE_OFFSET], rule="gk21",
+                                   rtol=tol, atol=0.0, max_subdivisions=MAX_SUBDIVISIONS)
+    result, err = 2.0 * math.pi * float(res.estimate), 2.0 * math.pi * float(res.error)
     if res.status != "converged" or abs(err) > max(10.0 * tol * abs(result), 1e-13):
         raise IntegrationError(
             f"estimated cubature error {err:.3e} above tolerance for result {result:.6e} "

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .heis import HPoint
 from .profiles import ProfileCurve, koranyi_image
 
 
@@ -44,11 +43,6 @@ def patch_xyz(surface: SurfacePatch, s, phi):
     return d * f * np.exp(1j * np.asarray(phi)), d * d * g
 
 
-def patch_eval(surface: SurfacePatch, s: float, phi: float) -> HPoint:
-    z, t = patch_xyz(surface, s, phi)
-    return HPoint(complex(z), float(t))
-
-
 def horizontal_normal_components(surface: SurfacePatch, s, phi):
     """(nu_X, nu_Y) components of N^h at sigma(s, phi), vectorized."""
     f, fd, _, g, gd, _ = surface.profile.eval(s)
@@ -58,33 +52,33 @@ def horizontal_normal_components(surface: SurfacePatch, s, phi):
     return -d * f * np.imag(w), d * f * np.real(w)
 
 
-def horizontal_area(surface: SurfacePatch, quad_n: int = 200, tol: float = 1e-10) -> float:
+AREA_TOL = 1e-10  # relative tolerance of the horizontal-area quadrature
+AREA_LIMIT = 200  # subinterval limit of the horizontal-area quadrature
+
+
+def horizontal_area(surface: SurfacePatch) -> float:
     """Horizontal area 2 pi int Re^(1/2)(-p*) |dp*| ds, scaling as scale^3.
 
     The integrand can have integrable square-root endpoint singularities;
     adaptive open quadrature reports its error estimate and fails loudly if
-    it exceeds the tolerance.
+    it exceeds 100 AREA_TOL relative.
     """
-    if quad_n < 8:
-        raise ValueError("quad_n must be at least 8")
-    img = koranyi_image(surface.profile)
     lo, hi = surface.profile.domain
 
     def integrand(s):
-        ps, dps, _ = img.all(s)
+        ps, dps = koranyi_image(surface.profile, s)
         return math.sqrt(float(np.real(-ps))) * float(np.abs(dps))
 
-    val, err = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=tol,
-                                    limit=max(quad_n, 50))
-    if abs(err) > max(100.0 * tol * abs(val), 1e-12):
+    val, err = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=AREA_TOL,
+                                    limit=AREA_LIMIT)
+    if abs(err) > max(100.0 * AREA_TOL * abs(val), 1e-12):
         raise RuntimeError(f"area quadrature error estimate {err:.3e} too large")
     return 2.0 * math.pi * val * surface.scale ** 3
 
 
 def flow_phase_rate(surface: SurfacePatch, s):
     """d phi / d s along the Legendrian foliation: Im dp* / (2 Re p*)."""
-    img = koranyi_image(surface.profile)
-    ps, dps, _ = img.all(s)
+    ps, dps = koranyi_image(surface.profile, s)
     re = np.real(ps)
     if np.any(re == 0):
         raise ZeroDivisionError("flow integrand blows up: Re p* = 0 inside span")
@@ -110,20 +104,15 @@ def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
     if a == b:
         phi[:] = phi0
     else:
-        right = s_samples[s_samples >= s0]
-        left = s_samples[s_samples < s0][::-1]
-        if right.size:
-            sol = scipy.integrate.solve_ivp(rhs, (s0, right[-1]), [phi0], t_eval=right,
-                                            rtol=1e-12, atol=1e-12, method="RK45")
-            if not sol.success:
-                raise RuntimeError(f"flow integration failed: {sol.message}")
-            phi[s_samples >= s0] = sol.y[0]
-        if left.size:
-            sol = scipy.integrate.solve_ivp(rhs, (s0, left[-1]), [phi0], t_eval=left,
-                                            rtol=1e-12, atol=1e-12, method="RK45")
-            if not sol.success:
-                raise RuntimeError(f"flow integration failed: {sol.message}")
-            phi[s_samples < s0] = sol.y[0][::-1]
+        ahead = s_samples >= s0
+        for side, order in ((ahead, 1), (~ahead, -1)):  # integrate away from s0
+            t_eval = s_samples[side][::order]
+            if t_eval.size:
+                sol = scipy.integrate.solve_ivp(rhs, (s0, t_eval[-1]), [phi0], t_eval=t_eval,
+                                                rtol=1e-12, atol=1e-12, method="RK45")
+                if not sol.success:
+                    raise RuntimeError(f"flow integration failed: {sol.message}")
+                phi[side] = sol.y[0][::order]
 
     f, fd, _, g, gd, _ = surface.profile.eval(s_samples)
     d = surface.scale
@@ -160,9 +149,9 @@ def mean_curvature(surface: SurfacePatch, s: float) -> float:
 
 
 def _mean_curvature_regular(surface: SurfacePatch, s: float) -> float:
-    img = koranyi_image(surface.profile)
-    f, fd, _, _, _, _ = surface.profile.eval(s)
-    ps, dps, ddps = img.all(s)
+    f, fd, fdd, _, _, gdd = surface.profile.eval(s)
+    _, dps = koranyi_image(surface.profile, s)
+    ddps = -2.0 * (fd * fd + f * fdd) + 1j * gdd
     m = abs(dps)
     u = dps / m
     du = ddps / m - dps * np.real(np.conj(dps) * ddps) / m ** 3

@@ -142,6 +142,20 @@ def test_modulus_exit_code_reflects_every_check(monkeypatch, capsys, check, part
         assert f"check failed: {check}" in err
 
 
+@pytest.mark.parametrize("source", [
+    "f = sqrt(-cos(s))\ng = sin(s)\ndomain = (pi/2, 3*pi/2)\n",
+    "f = sin(s)^0.5\ng = cos(s)\ndomain = (0, pi)\n",
+], ids=["cos_sin", "sin_cos"])
+def test_modulus_accepts_profiles_parametrized_by_argument(tmp_path, capsys, source):
+    # beta'(s) stays bounded at both ends, unlike the catalog profiles
+    path = tmp_path / "profile.txt"
+    path.write_text(source)
+    code, out, err = run(capsys, "modulus", "--profile", str(path), "--a", "1", "--b", "2",
+                         "--curves", "50", "--json")
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1])["rel_err"] <= 1e-12
+
+
 def test_modulus_reversed_bounds_usage_error(capsys):
     code, _, err = run(capsys, "modulus", "--surface", "koranyi",
                        "--a", "2", "--b", "1")

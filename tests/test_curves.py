@@ -16,12 +16,17 @@ RING = md.make_ring(catalog("koranyi_sphere", 1.0), 1.0, 2.0)
 RING_B = md.make_ring(catalog("bubble_set", 1.0), 1.0, 2.0)
 
 
+def length(curve):
+    """Horizontal length: the line integral of the density 1."""
+    return cv.line_integral(lambda z, t: np.ones_like(t), curve)
+
+
 def test_cc_lift_unit_speed_and_length():
     for k in (-2.0, -0.5, 0.0, 1.0, 3.0):
         curve = cv.cc_lift(k, 1.0)
         assert curve.residual < 1e-12
         assert np.max(np.abs(np.abs(curve.dz) - 1.0)) < 1e-12
-        assert cv.horizontal_length(curve) == pytest.approx(1.0, rel=1e-9)
+        assert length(curve) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_cc_lift_endpoint_on_cc_sphere_profile():
@@ -47,7 +52,7 @@ def test_cc_lift_endpoint_at_cc_distance():
 def test_straight_lift_is_flat():
     curve = cv.cc_lift(0.0, 2.0, phi=0.7)
     assert np.max(np.abs(curve.t)) == 0.0
-    assert cv.horizontal_length(curve) == pytest.approx(2.0)
+    assert length(curve) == pytest.approx(2.0)
 
 
 # -- quasiradials --------------------------------------------------------------
@@ -57,8 +62,8 @@ def test_quasiradial_residual_and_endpoints():
     q = cv.quasiradial(RING, beta=2.2, phi0=0.4)
     assert q.residual < 1e-12
     inner, outer = q.endpoints
-    assert md.membership(RING, inner) is md.Location.BOUNDARY
-    assert md.membership(RING, outer) is md.Location.BOUNDARY
+    assert float(md.boundary_ratio(RING, inner.z, inner.t)) == pytest.approx(1.0, abs=1e-9)
+    assert float(md.boundary_ratio(RING, outer.z, outer.t)) == pytest.approx(2.0, abs=1e-9)
     assert gauge(inner) == pytest.approx(1.0, rel=1e-12)  # koranyi: |p*| = 1
     assert gauge(outer) == pytest.approx(2.0, rel=1e-12)
 
@@ -120,7 +125,7 @@ def test_random_family_is_seed_indexed():
 
 def test_length_of_ambient_circle_lift_matches_speed():
     curve = cv.cc_lift(1.0, 3.0)
-    assert cv.horizontal_length(curve) == pytest.approx(3.0, rel=1e-9)
+    assert length(curve) == pytest.approx(3.0, rel=1e-9)
 
 
 def test_line_integral_rejects_sloppy_curve():
@@ -129,16 +134,13 @@ def test_line_integral_rejects_sloppy_curve():
         t=np.linspace(0, 1, 9), dz=np.ones(9) + 0j, dt=np.ones(9),
         residual=1.0)
     with pytest.raises(cv.NotHorizontalError):
-        cv.horizontal_length(bad)
-    with pytest.raises(cv.NotHorizontalError):
         cv.line_integral(lambda z, t: np.ones_like(t), bad)
 
 
 def test_line_integral_of_one_is_length():
+    # a Koranyi quasiradial has speed e^xi / sqrt(-cos beta), so length (b - a) / sqrt(-cos beta)
     curve = cv.quasiradial(RING, 2.0, 0.0, n=512)
-    ell = cv.horizontal_length(curve)
-    val = cv.line_integral(lambda z, t: np.ones_like(np.asarray(t)), curve)
-    assert val == pytest.approx(ell, rel=1e-12)
+    assert length(curve) == pytest.approx(1.0 / math.sqrt(-math.cos(2.0)), rel=1e-12)
 
 
 def test_export_csv(tmp_path):
@@ -282,5 +284,4 @@ def test_similarities_preserve_residual_and_length(sim):
         curve = cv.cc_lift(k, 1.3, phi=0.2, n=256)
         image = _push(sim, curve)
         assert abs(image.residual - curve.residual) <= 1e-13
-        assert cv.horizontal_length(image) == pytest.approx(
-            cv.horizontal_length(curve), rel=1e-13)
+        assert length(image) == pytest.approx(length(curve), rel=1e-13)

@@ -77,14 +77,6 @@ def test_contact_form_on_frame(p):
     assert heis.contact_eval(vt) == pytest.approx(1.0)
 
 
-@given(hpoints())
-def test_apply_J_rotates_components(p):
-    v = heis.HorVector(p, 2.0, -3.0)
-    w = heis.apply_J(v)
-    assert (w.nu1, w.nu2) == (3.0, 2.0)
-    assert heis.apply_J(w).nu1 == pytest.approx(-v.nu1)
-
-
 @settings(max_examples=50)
 @given(hpoints(away_from_origin=True))
 def test_inversion_gauge_identity(p):

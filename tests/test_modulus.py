@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heisring import curves as cv
+from heisring import heis
 from heisring import modulus as md
 from heisring import revcoords as rc
 from heisring.heis import HPoint
@@ -32,11 +33,14 @@ def test_make_ring_rejects_invalid_profile():
 
 def test_membership_koranyi():
     # for the unit Koranyi sphere the ring is just 1 < gauge < 2
-    assert md.membership(RING, HPoint(1.5 + 0j, 0.0)) is md.Location.INSIDE
-    assert md.membership(RING, HPoint(3 + 0j, 0.0)) is md.Location.OUTSIDE
-    assert md.membership(RING, HPoint(0.5j, 0.1)) is md.Location.OUTSIDE
-    assert md.membership(RING, HPoint(2.0 + 0j, 0.0)) is md.Location.BOUNDARY
-    assert md.membership(RING, HPoint(0j, 1.0)) is md.Location.BOUNDARY
+    z = np.array([1.5, 3.0, 0.5j, 2.0, 0j])
+    t = np.array([0.0, 0.0, 0.1, 0.0, 1.0])
+    ratio = md.boundary_ratio(RING, z, t)
+    assert ratio == pytest.approx([1.5, 3.0, 0.0725 ** 0.25, 2.0, 1.0], rel=1e-12)
+    # the closed ring holds its outer shell, the open one does not
+    assert (md.rho0_values(RING, z[:4], t[:4]) > 0).tolist() == [True, False, False, True]
+    assert (md.rho0_values(RING, z[:4], t[:4], closed=False) > 0).tolist() == [
+        True, False, False, False]
 
 
 def test_rho0_koranyi_values():
@@ -193,6 +197,58 @@ def test_shell_bracket_holds_on_dense_betas(name, R):
         s = np.sqrt(np.abs(ps))
         c = cell[k:k + 2 ** 16]
         assert np.all(lo[c] * room <= s) and np.all(s * room <= hi[c])
+
+
+# beta'(s) stays bounded at both ends of these two profiles of the unit Koranyi
+# sphere, so the clamped s of the inversion reaches no beta within about 3e-12
+# of an edge; such targets are clipped to the reachable range
+BY_ARGUMENT = {
+    "cos_sin": "f = sqrt(-cos(s)); g = sin(s); domain = (pi/2, 3*pi/2)",
+    "sin_cos": "f = sin(s)^0.5; g = cos(s); domain = (0, pi)",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BY_ARGUMENT))
+def argument_ring(request):
+    return md.make_ring(parse_profile(BY_ARGUMENT[request.param], name=request.param),
+                        1.0, 2.0)
+
+
+def test_argument_profiles_give_the_analytic_modulus(argument_ring):
+    want = md.analytic_modulus(1.0, 2.0)
+    assert md.numeric_modulus(argument_ring) == pytest.approx(want, rel=1e-12)
+    value, stderr = md.mc_modulus(argument_ring, n=10 ** 6, seed=0)
+    assert abs(value - want) <= 3.0 * stderr
+
+
+def test_argument_profiles_rho0_at_the_band_edges(argument_ring):
+    # points of gauge 1.5 (inside) and 3 (outside) one to three ulps from an edge
+    beta = np.array([BETA_LO + 2.3e-16, BETA_LO + 6.7e-16, BETA_HI - 9e-16])
+    assert np.all(np.minimum(beta - BETA_LO, BETA_HI - beta) < 1e-15)
+    alpha = np.repeat([2.25, 9.0], 3) * np.exp(1j * np.tile(beta, 2))
+    z, t = np.sqrt(-alpha.real), alpha.imag
+    got = md.rho0_values(argument_ring, z, t)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got > 0, np.repeat([True, False], 3))
+    assert got == pytest.approx(md.rho0_values(RING, z, t), rel=1e-12)
+
+
+def test_inversion_maps_koranyi_ring_onto_reciprocal_ring():
+    # |inv(p)|_H = 1 / |p|_H, so inversion maps the ring (a, b) onto (1/b, 1/a)
+    sphere = catalog("koranyi_sphere", 1.0)
+    ring, image = md.make_ring(sphere, 0.5, 3.0), md.make_ring(sphere, 1.0 / 3.0, 2.0)
+    rng = np.random.Generator(np.random.Philox(key=21))
+    z = rng.uniform(-4.0, 4.0, 4000) + 1j * rng.uniform(-4.0, 4.0, 4000)
+    t = rng.uniform(-16.0, 16.0, 4000)
+    gauge = (np.abs(z) ** 4 + t * t) ** 0.25
+    keep = (np.abs(gauge / ring.a - 1.0) > 1e-9) & (np.abs(gauge / ring.b - 1.0) > 1e-9)
+    inverted = [heis.inversion()(HPoint(complex(w), float(s))) for w, s in zip(z[keep], t[keep])]
+    zi, ti = np.array([p.z for p in inverted]), np.array([p.t for p in inverted])
+    before = md.rho0_values(ring, z[keep], t[keep], tol=0.0) > 0
+    after = md.rho0_values(image, zi, ti, tol=0.0) > 0
+    assert 0 < np.count_nonzero(before) < before.size
+    assert np.array_equal(before, after)
+    assert md.numeric_modulus(image) == pytest.approx(md.numeric_modulus(ring), rel=1e-12)
 
 
 # -- admissibility -------------------------------------------------------------

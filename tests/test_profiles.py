@@ -7,8 +7,9 @@ import pytest
 
 from heisring import profiles
 from heisring.profiles import (BETA_HI, BETA_LO, DomainError, ProfileCurve,
-                               arg_band, catalog, endpoint_limit, koranyi_image,
-                               parse_profile, reparam_by_argument, validate)
+                               arg_band, arg_rate, catalog, endpoint_limit,
+                               koranyi_image, parse_profile, reparam_by_argument,
+                               validate)
 
 
 def fd_check(curve, s, h=1e-6):
@@ -36,7 +37,7 @@ def test_koranyi_sphere_point():
     f, _, _, g, _, _ = c.eval(math.pi)
     assert f == pytest.approx(2.0)
     assert g == pytest.approx(0.0, abs=1e-12)
-    assert koranyi_image(c).value(math.pi) == pytest.approx(-4.0 + 0j)
+    assert koranyi_image(c, math.pi)[0] == pytest.approx(-4.0 + 0j)
 
 
 def test_koranyi_sphere_constant_gauge():
@@ -48,10 +49,23 @@ def test_koranyi_sphere_constant_gauge():
 
 def test_koranyi_sphere_beta_is_parameter():
     c = catalog("koranyi_sphere", 1.0)
-    img = koranyi_image(c)
     grid = np.linspace(BETA_LO + 0.01, BETA_HI - 0.01, 50)
-    assert np.allclose(img.beta(grid), grid, atol=1e-12)
-    assert np.allclose(img.beta_dot(grid), 1.0, atol=1e-10)
+    ps, dps = koranyi_image(c, grid)
+    assert np.allclose(arg_band(ps), grid, atol=1e-12)
+    assert np.allclose(arg_rate(ps, dps), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", profiles.CATALOG_NAMES)
+def test_koranyi_image_and_arg_rate_match_finite_differences(name):
+    c = catalog(name, 1.0)
+    lo, hi = c.domain
+    s = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 7)
+    h = 1e-6
+    ps, dps = koranyi_image(c, s)
+    (pm, _), (pp, _) = koranyi_image(c, s - h), koranyi_image(c, s + h)
+    assert np.allclose(dps, (pp - pm) / (2 * h), rtol=1e-7, atol=1e-7)
+    assert np.allclose(arg_rate(ps, dps), (arg_band(pp) - arg_band(pm)) / (2 * h),
+                       rtol=1e-6, atol=1e-7)
 
 
 @pytest.mark.parametrize("name", profiles.CATALOG_NAMES)
@@ -73,18 +87,18 @@ def test_bubble_pole_limits():
 
 def test_bubble_midpoint_argument():
     c = catalog("bubble_set", 1.0)
-    img = koranyi_image(c)
-    assert float(img.beta(math.pi)) == pytest.approx(math.pi, rel=1e-12)
-    assert img.value(math.pi) == pytest.approx(-4.0 + 0j, abs=1e-12)
+    ps, _ = koranyi_image(c, math.pi)
+    assert float(arg_band(ps)) == pytest.approx(math.pi, rel=1e-12)
+    assert ps == pytest.approx(-4.0 + 0j, abs=1e-12)
 
 
 def test_bubble_argument_formula():
     # tan(beta(s)) = (sin s - s + pi) / (cos s - 1) for R = 1
     c = catalog("bubble_set", 1.0)
-    img = koranyi_image(c)
     for s in np.linspace(0.4, 2 * math.pi - 0.4, 17):
         expected = (math.sin(s) - s + math.pi) / (math.cos(s) - 1.0)
-        assert math.tan(float(img.beta(s))) == pytest.approx(expected, rel=1e-9)
+        beta = float(arg_band(koranyi_image(c, s)[0]))
+        assert math.tan(beta) == pytest.approx(expected, rel=1e-9)
 
 
 def test_cc_profile_small_k_limit():
@@ -193,9 +207,8 @@ def test_reparam_roundtrip(name):
     c = catalog(name, 1.0)
     rc = reparam_by_argument(c)
     assert rc.by_argument and rc.domain == (BETA_LO, BETA_HI)
-    img = koranyi_image(rc)
     grid = np.linspace(BETA_LO + 1e-3, BETA_HI - 1e-3, 200)
-    assert np.max(np.abs(np.asarray(img.beta(grid)) - grid)) < 1e-10
+    assert np.max(np.abs(arg_band(koranyi_image(rc, grid)[0]) - grid)) < 1e-10
 
 
 def test_reparam_derivatives_by_finite_differences():

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisring import revcoords
-from heisring.heis import HPoint
 from heisring.profiles import BETA_HI, BETA_LO, catalog, reparam_by_argument
-from heisring.revcoords import Box, RevPoint
+from heisring.revcoords import Box
 
 KORANYI = catalog("koranyi_sphere", 1.0)
 BUBBLE = reparam_by_argument(catalog("bubble_set", 1.0))
@@ -25,12 +24,10 @@ phi_st = st.floats(min_value=0.0, max_value=2.0 * math.pi - 1e-9)
 @settings(max_examples=60)
 @given(xi_st, beta_st, phi_st)
 def test_roundtrip_koranyi(xi, beta, phi):
-    q = RevPoint(xi, beta, phi)
-    p = revcoords.phi_map(KORANYI, q)
-    back = revcoords.phi_inv(KORANYI, p)
-    assert back.xi == pytest.approx(xi, abs=1e-12)
-    assert back.beta == pytest.approx(beta, abs=1e-12)
-    assert back.phi == pytest.approx(phi, abs=1e-12)
+    z, t = revcoords.phi_map_arrays(KORANYI, xi, beta, phi)
+    back = revcoords.phi_inv_arrays(KORANYI, z, t)
+    assert np.shape(back[0]) == ()
+    assert back == pytest.approx((xi, beta, phi), abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -49,7 +46,7 @@ def test_roundtrip_all_surfaces(name):
 
 def test_inverse_rejects_vertical_axis():
     with pytest.raises(ValueError):
-        revcoords.phi_inv(KORANYI, HPoint(0j, 1.0))
+        revcoords.phi_inv_arrays(KORANYI, 0j, 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -86,8 +83,10 @@ def test_horizontality_rhs_matches_contact_form(name):
     dxi = rng.uniform(-2.0, 2.0, 100)
     dbeta = rng.uniform(-2.0, 2.0, 100)
     dphi = revcoords.horizontality_rhs(curve, beta, dxi, dbeta)
-    w_xi, w_beta, w_phi = revcoords.contact_form_components(curve, xi, beta)
-    omega = w_xi * dxi + w_beta * dbeta + w_phi * dphi
+    # omega = e^(2 xi) (2 Im p* dxi + Im dp* dbeta - 2 Re p* dphi)
+    ps, dps = revcoords.pstar_pair(curve, beta)
+    omega = np.exp(2.0 * xi) * (2.0 * np.imag(ps) * dxi + np.imag(dps) * dbeta
+                                - 2.0 * np.real(ps) * dphi)
     assert np.max(np.abs(omega)) < 1e-9
 
 
@@ -129,8 +128,7 @@ def test_integrate_constant_against_jacobian():
     from scipy import integrate as si
 
     box = Box((0.0, 0.5))
-    val = revcoords.integrate_over_box(KORANYI, lambda *_: 1.0, box,
-                                       phi_independent=True)
+    val = revcoords.integrate_over_box(KORANYI, lambda *_: 1.0, box)
     radial, _ = si.quad(lambda b: 1.0, BETA_LO, BETA_HI)  # |p*| = 1 for R = 1
     expected = (math.exp(2.0) - 1.0) / 4.0 * 2.0 * math.pi * radial
     assert val == pytest.approx(expected, rel=1e-9)
@@ -145,8 +143,7 @@ def test_integrate_requires_by_argument():
 def test_integrate_bubble_constant_matches_nested_quad():
     # |p*|^2 behaves like (beta - pi/2)^(3/2) at the band edges of the bubble,
     # so the cubature must subdivide; the value is that of nested 1-D quad
-    val = revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, Box((0.0, 0.5)),
-                                       phi_independent=True)
+    val = revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, Box((0.0, 0.5)))
     assert val == pytest.approx(756.6894735213466, rel=1e-9)
 
 
@@ -154,14 +151,5 @@ def test_integrate_nonintegrable_raises_within_cap():
     with pytest.raises(revcoords.IntegrationError,
                        match=f"not_converged after {revcoords.MAX_SUBDIVISIONS} "):
         revcoords.integrate_over_box(
-            KORANYI, lambda xi, beta, phi: 1.0 / np.abs(beta - 3.0),
-            Box((0.0, 0.5)), phi_independent=True)
+            KORANYI, lambda xi, beta: 1.0 / np.abs(beta - 3.0), Box((0.0, 0.5)))
 
-
-def test_integrate_phi_dependent_closed_form():
-    # the phi factor is integrated by the cubature itself: int cos^2 = pi
-    val = revcoords.integrate_over_box(
-        KORANYI, lambda xi, beta, phi: np.cos(phi) ** 2, Box((0.0, 0.5)))
-    beta_len = BETA_HI - BETA_LO - 2.0 * revcoords.EDGE_OFFSET  # |p*| = 1 for R = 1
-    expected = (math.exp(2.0) - 1.0) / 4.0 * beta_len * math.pi
-    assert val == pytest.approx(expected, rel=1e-9)

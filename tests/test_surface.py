@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heisring import surface as sf
-from heisring.heis import TangentVector, contact_eval
+from heisring.heis import HPoint, TangentVector, contact_eval
 from heisring.profiles import BETA_HI, BETA_LO, catalog, koranyi_image
 from heisring.surface import SurfacePatch
 
@@ -23,17 +23,18 @@ def interior_grid(patch, n=64, margin=0.05):
 
 
 def test_patch_eval_koranyi():
-    p = sf.patch_eval(KORANYI, math.pi, 0.0)
-    assert p.z == pytest.approx(1.0 + 0j)
-    assert p.t == pytest.approx(0.0, abs=1e-12)
+    z, t = sf.patch_xyz(KORANYI, math.pi, 0.0)
+    assert complex(z) == pytest.approx(1.0 + 0j)
+    assert float(t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scale_acts_as_dilation():
     big = SurfacePatch(catalog("bubble_set", 1.0), scale=2.0)
-    small = sf.patch_eval(BUBBLE, 1.0, 0.7)
-    scaled = sf.patch_eval(big, 1.0, 0.7)
-    assert scaled.z == pytest.approx(2.0 * small.z)
-    assert scaled.t == pytest.approx(4.0 * small.t)
+    s, phi = np.array([0.4, 1.0, 5.5]), np.array([0.7, 0.7, 3.0])
+    small_z, small_t = sf.patch_xyz(BUBBLE, s, phi)
+    scaled_z, scaled_t = sf.patch_xyz(big, s, phi)
+    assert scaled_z == pytest.approx(2.0 * small_z)
+    assert scaled_t == pytest.approx(4.0 * small_t)
 
 
 def test_characteristic_locus_empty():
@@ -66,23 +67,17 @@ def test_induced_form_matches_contact_eval():
     # omega restricted to the surface: Im(dp*) ds - 2 Re(p*) dphi... evaluated
     # as contact_eval on pushed-forward basis vectors
     patch = CC
-    img = koranyi_image(patch.profile)
     h = 1e-7
     for s in interior_grid(patch, 9):
-        ps, dps, _ = img.all(float(s))
+        ps, dps = koranyi_image(patch.profile, float(s))
         for phi in (0.0, 1.1):
-            a = sf.patch_eval(patch, float(s) + h, phi)
-            b = sf.patch_eval(patch, float(s) - h, phi)
-            v_s = TangentVector(sf.patch_eval(patch, float(s), phi),
-                                (a.z - b.z).real / (2 * h),
-                                (a.z - b.z).imag / (2 * h),
-                                (a.t - b.t) / (2 * h))
-            c = sf.patch_eval(patch, float(s), phi + h)
-            d = sf.patch_eval(patch, float(s), phi - h)
-            v_phi = TangentVector(v_s.base,
-                                  (c.z - d.z).real / (2 * h),
-                                  (c.z - d.z).imag / (2 * h),
-                                  (c.t - d.t) / (2 * h))
+            # the point, then steps +-h in s and in phi
+            z, t = sf.patch_xyz(patch, s + np.array([0.0, h, -h, 0.0, 0.0]),
+                                phi + np.array([0.0, 0.0, 0.0, h, -h]))
+            dz, dt = (z[1::2] - z[2::2]) / (2 * h), (t[1::2] - t[2::2]) / (2 * h)
+            base = HPoint(complex(z[0]), float(t[0]))
+            v_s = TangentVector(base, dz[0].real, dz[0].imag, dt[0])
+            v_phi = TangentVector(base, dz[1].real, dz[1].imag, dt[1])
             assert contact_eval(v_s) == pytest.approx(float(np.imag(dps)),
                                                       rel=1e-6, abs=1e-6)
             assert contact_eval(v_phi) == pytest.approx(-2.0 * float(np.real(ps)),
