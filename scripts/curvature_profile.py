@@ -28,14 +28,9 @@ def main():
         patch = sf.SurfacePatch(catalog(name, args.R))
         lo, hi = patch.profile.domain
         svals = lo + (hi - lo) * np.arange(1, args.n + 1) / (args.n + 1)
-        rows = []
-        for s in svals:
-            f, _, _, g, _, _ = patch.profile.eval(float(s))
-            try:
-                hh = sf.mean_curvature(patch, float(s))
-            except ArithmeticError:
-                hh = math.nan
-            rows.append((float(s), f, g, hh))
+        f, _, _, g, _, _ = patch.profile.eval(svals)
+        hh = sf.mean_curvature(patch, svals)
+        rows = list(zip(svals.tolist(), f.tolist(), g.tolist(), hh.tolist()))
         path = f"curvature_{name}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

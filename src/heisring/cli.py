@@ -8,7 +8,6 @@ I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -140,39 +139,42 @@ def cmd_modulus(args) -> int:
     return 1 if failed else 0
 
 
+def _require_positive(args, *flags):
+    for flag in flags:
+        if not getattr(args, flag) > 0:
+            raise UsageError(f"--{flag} must be positive, got {getattr(args, flag):g}")
+
+
 def cmd_geometry(args) -> int:
+    _require_positive(args, "scale", "resolution")
     curve, name = _resolve_profile(args)
-    patch = surface_mod.SurfacePatch(curve, scale=args.scale)
-    area = surface_mod.horizontal_area(patch)
     lo, hi = curve.domain
-    n = args.resolution
-    s_vals = lo + (hi - lo) * np.arange(1, n + 1) / (n + 1)
-    csv_path = args.csv or f"{name.replace('/', '_')}_geometry.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "f", "g", "Nh_norm", "Hh"])
-        for s in s_vals:
-            f, _, _, g, _, _ = curve.eval(float(s))
-            n1, n2 = surface_mod.horizontal_normal_components(patch, float(s), 0.0)
-            try:
-                hh = f"{surface_mod.mean_curvature(patch, float(s)):.17g}"
-            except (surface_mod.CurvatureError, ArithmeticError):
-                hh = "nan"
-            writer.writerow([f"{s:.17g}", f"{f:.17g}", f"{g:.17g}",
-                             f"{float(np.hypot(n1, n2)):.17g}", hh])
-    _header(scale=f"{args.scale:g}", resolution=n)
-    rows = [("surface", name), ("horizontal area", f"{area:.12g}"),
-            ("geometry csv", csv_path)]
+    span = (lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo))
     if args.flow is not None:
         try:
             s0_str, phi0_str = args.flow.split(",")
             s0, phi0 = float(s0_str), float(phi0_str)
         except ValueError:
             raise UsageError(f"--flow expects 's0,phi0', got {args.flow!r}")
-        span_lo = lo + 1e-3 * (hi - lo)
-        span_hi = hi - 1e-3 * (hi - lo)
-        flow = surface_mod.flow_curve(patch, s0, phi0, (span_lo, span_hi),
-                                      n=args.resolution)
+        if not span[0] <= s0 <= span[1]:
+            raise UsageError(f"--flow anchor {s0:g} outside the flow span {span}")
+    patch = surface_mod.SurfacePatch(curve, scale=args.scale)
+    area = surface_mod.horizontal_area(patch)
+    n = args.resolution
+    s_vals = lo + (hi - lo) * np.arange(1, n + 1) / (n + 1)
+    f, _, _, g, _, _ = curve.eval(s_vals)
+    nh = np.hypot(*surface_mod.horizontal_normal_components(patch, s_vals, 0.0))
+    hh = surface_mod.mean_curvature(patch, s_vals)
+    csv_path = args.csv or f"{name.replace('/', '_')}_geometry.csv"
+    with open(csv_path, "w", newline="") as fh:
+        fh.write("s,f,g,Nh_norm,Hh\r\n")
+        surface_mod.write_rows(fh, ",".join(["%.17g"] * 5) + "\r\n",
+                               np.column_stack((s_vals, f, g, nh, hh)))
+    _header(scale=f"{args.scale:g}", resolution=n)
+    rows = [("surface", name), ("horizontal area", f"{area:.12g}"),
+            ("geometry csv", csv_path)]
+    if args.flow is not None:
+        flow = surface_mod.flow_curve(patch, s0, phi0, span, n=n)
         flow_path = csv_path.rsplit(".", 1)[0] + "_flow.csv"
         flow.export_csv(flow_path)
         rows += [("flow csv", flow_path), ("flow residual", f"{flow.residual:.3e}")]
@@ -181,6 +183,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
+    _require_positive(args, "scale", "ns", "nphi")
     curve, name = _resolve_profile(args)
     patch = surface_mod.SurfacePatch(curve, scale=args.scale)
     out = args.out or f"{name.replace('/', '_')}.obj"

@@ -6,14 +6,13 @@ foliation (flow curves), the horizontal mean curvature, and mesh export.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from .profiles import ProfileCurve, koranyi_image
+from .profiles import ProfileCurve, _image, koranyi_image
 
 
 class CurvatureError(ArithmeticError):
@@ -124,41 +123,56 @@ def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
     return HorizontalCurve.from_samples(s_samples, z, t, dz, dt)
 
 
-def mean_curvature(surface: SurfacePatch, s: float) -> float:
+def mean_curvature(surface: SurfacePatch, s):
     """Horizontal mean curvature H^h(s); independent of phi.
 
-    At isolated points where fd(s) = 0 the formula is indeterminate; the value
-    is recovered from one-sided evaluations at s +- h and their average is
-    returned when they agree to 1e-3 relative.
+    ``s`` is a number or an array. At isolated points where fd(s) = 0 the
+    formula is indeterminate; the value is recovered from one-sided
+    evaluations at s +- h and their average is used when they agree to 1e-3
+    relative. Where they disagree, or the formula is not finite, an array
+    gets ``nan`` and a number raises CurvatureError.
     """
-    lo, hi = surface.profile.domain
-    f, fd, _, _, _, _ = surface.profile.eval(s)
-    fscale = max(1.0, abs(f))
-    if abs(fd) < 1e-8 * fscale:
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    values = surface.profile.eval(s_arr)
+    out = _mean_curvature_regular(values, surface.scale)
+    pending = np.abs(values[1]) < 1e-8 * np.maximum(1.0, np.abs(values[0]))  # fd ~ 0
+    if np.any(pending):
+        lo, hi = surface.profile.domain
         h = 1e-5 * (hi - lo)
-        left = _mean_curvature_regular(surface, s - h)
-        right = _mean_curvature_regular(surface, s + h)
+        sp = s_arr[pending]
+        left, right = np.split(_mean_curvature_regular(
+            surface.profile.eval(np.concatenate([sp - h, sp + h])), surface.scale), 2)
         mid = 0.5 * (left + right)
-        if abs(left - right) > 1e-3 * max(1.0, abs(mid)):
-            raise CurvatureError(
-                f"mean curvature indeterminate at s={s}: one-sided values "
-                f"{left:.6g} and {right:.6g} disagree"
-            )
-        return mid
-    return _mean_curvature_regular(surface, s)
+        agree = np.abs(left - right) <= 1e-3 * np.maximum(1.0, np.abs(mid))
+        out[pending] = np.where(agree, mid, np.nan)
+    if np.ndim(s) > 0:
+        return out
+    if np.isnan(out[0]):
+        raise CurvatureError(f"mean curvature indeterminate at s={s}")
+    return float(out[0])
 
 
-def _mean_curvature_regular(surface: SurfacePatch, s: float) -> float:
-    f, fd, fdd, _, _, gdd = surface.profile.eval(s)
-    _, dps = koranyi_image(surface.profile, s)
+def _mean_curvature_regular(values, scale: float):
+    """The H^h formula on the profile's six values; nan where it is not finite."""
+    f, fd, fdd, _, _, gdd = values
+    _, dps = _image(values)
     ddps = -2.0 * (fd * fd + f * fdd) + 1j * gdd
-    m = abs(dps)
-    u = dps / m
-    du = ddps / m - dps * np.real(np.conj(dps) * ddps) / m ** 3
-    return float((-np.imag(u) / f - np.imag(du) / fd) / surface.scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.abs(dps)
+        u = dps / m
+        du = ddps / m - dps * np.real(np.conj(dps) * ddps) / m ** 3
+        out = (-np.imag(u) / f - np.imag(du) / fd) / scale
+    return np.where(np.isfinite(out), out, np.nan)
 
 
 # -- mesh export -----------------------------------------------------------------
+
+
+def write_rows(fh, fmt: str, rows):
+    """Write ``fmt % row`` for each row of a 2-D array, from Python numbers, which
+    format faster than numpy scalars; 1024 rows at a time bound how many exist."""
+    for i in range(0, len(rows), 1024):
+        fh.write("".join(fmt % tuple(r) for r in rows[i:i + 1024].tolist()))
 
 
 def export_mesh(surface: SurfacePatch, obj_path: str, csv_path: str | None = None,
@@ -173,42 +187,25 @@ def export_mesh(surface: SurfacePatch, obj_path: str, csv_path: str | None = Non
     s_vals = lo + (hi - lo) * (np.arange(1, n_s + 1)) / (n_s + 1)
     phi_vals = 2.0 * math.pi * np.arange(n_phi) / n_phi
 
-    ss, pp = np.meshgrid(s_vals, phi_vals, indexing="ij")
-    z, t = patch_xyz(surface, ss.ravel(), pp.ravel())
-    n1, n2 = horizontal_normal_components(surface, ss.ravel(), pp.ravel())
-    nh = np.hypot(n1, n2)
+    ss, pp = (a.ravel() for a in np.meshgrid(s_vals, phi_vals, indexing="ij"))
+    z, t = patch_xyz(surface, ss, pp)
+    nh = np.hypot(*horizontal_normal_components(surface, ss, pp))
+    hh = mean_curvature(surface, s_vals)
 
-    hh = np.empty(n_s)
-    for i, s in enumerate(s_vals):
-        try:
-            hh[i] = mean_curvature(surface, float(s))
-        except (CurvatureError, ArithmeticError):
-            hh[i] = math.nan
-
+    # a, b: 1-based indices of vertices (i, j), (i, j + 1); quad (a, b, b + n_phi, a + n_phi)
+    j = np.arange(n_phi)
+    a = np.arange(n_s - 1)[:, None] * n_phi + j + 1
+    b = a - j + (j + 1) % n_phi
+    faces = np.stack([a, b, b + n_phi, a, b + n_phi, a + n_phi], axis=-1).reshape(-1, 3)
     with open(obj_path, "w") as fh:
         fh.write(f"# heisring revolution surface mesh {n_s}x{n_phi}\n")
-        for x, y, tv in zip(z.real, z.imag, t):
-            fh.write(f"v {x:.17g} {y:.17g} {tv:.17g}\n")
-        for i in range(n_s - 1):
-            for j in range(n_phi):
-                jn = (j + 1) % n_phi
-                a = i * n_phi + j + 1
-                b = i * n_phi + jn + 1
-                c = (i + 1) * n_phi + jn + 1
-                d = (i + 1) * n_phi + j + 1
-                fh.write(f"f {a} {b} {c}\n")
-                fh.write(f"f {a} {c} {d}\n")
+        write_rows(fh, "v %.17g %.17g %.17g\n", np.column_stack((z.real, z.imag, t)))
+        write_rows(fh, "f %d %d %d\n", faces)
 
     if csv_path is None:
         csv_path = obj_path.rsplit(".", 1)[0] + "_vertices.csv"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "phi", "x", "y", "t", "Nh_norm", "Hh"])
-        for idx in range(z.size):
-            i = idx // n_phi
-            writer.writerow([
-                f"{ss.ravel()[idx]:.17g}", f"{pp.ravel()[idx]:.17g}",
-                f"{z.real[idx]:.17g}", f"{z.imag[idx]:.17g}", f"{t[idx]:.17g}",
-                f"{nh[idx]:.17g}", f"{hh[i]:.17g}",
-            ])
+        fh.write("s,phi,x,y,t,Nh_norm,Hh\r\n")
+        write_rows(fh, ",".join(["%.17g"] * 7) + "\r\n",
+                   np.column_stack((ss, pp, z.real, z.imag, t, nh, np.repeat(hh, n_phi))))
     return obj_path, csv_path

@@ -208,6 +208,26 @@ def test_geometry_area_homogeneity(tmp_path, capsys):
     assert area(out2) == pytest.approx(8.0 * area(out1), rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ("geometry", "--surface", "koranyi", "--resolution", "0"),
+    ("geometry", "--surface", "koranyi", "--resolution", "-3"),
+    ("geometry", "--surface", "koranyi", "--scale", "0"),
+    ("geometry", "--surface", "koranyi", "--flow", "1.0,0.0"),
+    ("export-mesh", "--surface", "koranyi", "--ns", "0"),
+    ("export-mesh", "--surface", "koranyi", "--nphi", "0"),
+    ("export-mesh", "--surface", "koranyi", "--ns", "-2"),
+    ("export-mesh", "--surface", "koranyi", "--scale", "0"),
+])
+def test_bad_geometry_and_mesh_flags_are_usage_errors(tmp_path, capsys, argv):
+    # rejected before any file is written; koranyi's flow span excludes s0 = 1
+    out = tmp_path / ("g.csv" if argv[0] == "geometry" else "m.obj")
+    code, stdout, err = run(capsys, *argv, "--csv" if argv[0] == "geometry" else "--out",
+                            str(out))
+    assert code == 2
+    assert err.startswith("error:") and stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_mesh_default_grid(tmp_path, capsys):
     out_path = tmp_path / "mesh.obj"
     code, out, _ = run(capsys, "export-mesh", "--surface", "bubble",

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from heisring import surface as sf
+from heisring.cli import main
 from heisring.heis import HPoint, TangentVector, contact_eval
-from heisring.profiles import BETA_HI, BETA_LO, catalog, koranyi_image
+from heisring.profiles import BETA_HI, BETA_LO, catalog, koranyi_image, parse_profile
 from heisring.surface import SurfacePatch
 
 KORANYI = SurfacePatch(catalog("koranyi_sphere", 1.0))
@@ -179,6 +180,59 @@ def test_mean_curvature_matches_projected_curvature_oracle():
             kappa = float(np.imag(np.conj(dz) * ddz) / np.abs(dz) ** 3)
             assert sf.mean_curvature(patch, float(s0)) == pytest.approx(
                 kappa, rel=1e-4)
+
+
+def _scalar_or_nan(patch, s):
+    try:
+        return sf.mean_curvature(patch, float(s))
+    except sf.CurvatureError:
+        return math.nan
+
+
+def test_mean_curvature_array_matches_scalar_bit_for_bit():
+    for patch in (KORANYI, BUBBLE, CC):
+        s = interior_grid(patch, 257, margin=0.001)
+        got = sf.mean_curvature(patch, s)
+        assert got.shape == s.shape
+        want = np.array([_scalar_or_nan(patch, v) for v in s])
+        assert np.array_equal(got, want)
+        assert np.all(np.isfinite(got))
+
+
+def test_mean_curvature_array_recovers_koranyi_equator_without_warnings():
+    # fd(pi) = 0 inside an array: that point takes the one-sided route, and
+    # the call raises no RuntimeWarning (the suite turns those into errors)
+    beta = np.array([BETA_LO + 0.3, math.pi, BETA_HI - 0.3])
+    got = sf.mean_curvature(KORANYI, beta)
+    assert got[1] == pytest.approx(3.0, rel=1e-3)
+    assert got[1] == sf.mean_curvature(KORANYI, math.pi)
+    assert got[0] == pytest.approx(3.0 * math.sqrt(-math.cos(beta[0])), rel=1e-8)
+
+
+def test_mean_curvature_nan_in_array_where_scalar_raises():
+    # fd and gd both vanish at s = 1, where H^h jumps from +1/sqrt(8) to
+    # -1/sqrt(8): the one-sided limits disagree
+    patch = SurfacePatch(parse_profile("f = 1 + (s - 1)^2/2\ng = (s - 1)^2\ndomain = (0, 2)\n"))
+    near = sf.mean_curvature(patch, np.array([1.0 - 1e-3, 1.0 + 1e-3]))
+    assert near == pytest.approx([8 ** -0.5, -(8 ** -0.5)], rel=1e-4)
+    s = np.array([0.5, 1.0, 1.5])
+    got = sf.mean_curvature(patch, s)
+    assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
+    with pytest.raises(sf.CurvatureError):
+        sf.mean_curvature(patch, 1.0)
+    assert got[0] == sf.mean_curvature(patch, 0.5)
+    assert got[2] == sf.mean_curvature(patch, 1.5)
+
+
+def test_geometry_row_at_koranyi_equator(tmp_path):
+    # 1025 samples put the middle one at beta = pi, where fd = 0
+    path = tmp_path / "k.csv"
+    assert main(["geometry", "--surface", "koranyi", "--resolution", "1025",
+                 "--csv", str(path)]) == 0
+    rows = path.read_text().splitlines()[1:]
+    s, _, _, _, hh = rows[512].split(",")
+    assert float(s) == pytest.approx(math.pi, abs=1e-15)
+    assert float(hh) == pytest.approx(3.0, rel=1e-3)
 
 
 # -- mesh export --------------------------------------------------------------
