@@ -9,12 +9,14 @@ Usage: python3 scripts/admissibility_histogram.py [--count 1000] [--out DIR]
 """
 
 import argparse
-import csv
 import pathlib
+
+import numpy as np
 
 from heisring import curves as cv
 from heisring import modulus as md
 from heisring.profiles import CATALOG_NAMES, catalog
+from heisring.surface import write_rows
 
 
 def main():
@@ -34,10 +36,9 @@ def main():
         rep = md.admissibility_report(ring, family)
         path = outdir / f"admissibility_{name}.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for i, count in enumerate(rep.histogram):
-                writer.writerow([rep.bin_edges[i], rep.bin_edges[i + 1], count])
+            fh.write("bin_lo,bin_hi,count\r\n")
+            write_rows(fh, "%r,%r,%d\r\n", np.column_stack(
+                (rep.bin_edges[:-1], rep.bin_edges[1:], rep.histogram)))
         print(f"{name}: n={rep.n} min={rep.min:.6f} mean={rep.mean:.6f} "
               f"-> {path}")
 

@@ -9,8 +9,6 @@ Usage: python3 scripts/curvature_profile.py [--n 512] [--R 1.0]
 """
 
 import argparse
-import csv
-import math
 
 import numpy as np
 
@@ -30,14 +28,12 @@ def main():
         svals = lo + (hi - lo) * np.arange(1, args.n + 1) / (args.n + 1)
         f, _, _, g, _, _ = patch.profile.eval(svals)
         hh = sf.mean_curvature(patch, svals)
-        rows = list(zip(svals.tolist(), f.tolist(), g.tolist(), hh.tolist()))
         path = f"curvature_{name}.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "f", "g", "Hh"])
-            writer.writerows(rows)
-        finite = [r[3] for r in rows if math.isfinite(r[3])]
-        print(f"{name}: H^h in [{min(finite):.6f}, {max(finite):.6f}] -> {path}")
+            fh.write("s,f,g,Hh\r\n")
+            sf.write_rows(fh, "%r,%r,%r,%r\r\n", np.column_stack((svals, f, g, hh)))
+        finite = hh[np.isfinite(hh)]
+        print(f"{name}: H^h in [{finite.min():.6f}, {finite.max():.6f}] -> {path}")
 
 
 if __name__ == "__main__":

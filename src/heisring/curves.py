@@ -11,7 +11,6 @@ curves, CHUNK_POINTS samples per call; a single curve is a family of one.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ import scipy
 
 from . import revcoords
 from .profiles import BAND_MARGIN, BETA_HI, BETA_LO
+from .surface import write_rows
 
 DEFAULT_RESOLUTION = 1024
 FAMILY_RESOLUTION = 256  # samples per curve of random_family
@@ -78,19 +78,11 @@ class HorizontalCurve(_Samples):
 
     def export_csv(self, path: str) -> str:
         nan = np.full(self.tau.shape, math.nan)
-        xi = self.xi if self.xi is not None else nan
-        beta = self.beta if self.beta is not None else nan
-        phi = self.phi if self.phi is not None else nan
+        tilde = [nan if v is None else v for v in (self.xi, self.beta, self.phi)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "x", "y", "t", "xi", "beta", "phi", "residual"])
-            for i in range(self.tau.size):
-                writer.writerow([
-                    f"{self.tau[i]:.17g}", f"{self.z[i].real:.17g}",
-                    f"{self.z[i].imag:.17g}", f"{self.t[i]:.17g}",
-                    f"{xi[i]:.17g}", f"{beta[i]:.17g}", f"{phi[i]:.17g}",
-                    f"{self.residual:.3e}",
-                ])
+            fh.write("tau,x,y,t,xi,beta,phi,residual\r\n")
+            write_rows(fh, ",".join(["%.17g"] * 7) + f",{self.residual:.3e}\r\n",
+                       np.column_stack((self.tau, self.z.real, self.z.imag, self.t, *tilde)))
         return path
 
 

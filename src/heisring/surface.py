@@ -16,7 +16,7 @@ from .profiles import ProfileCurve, _image, koranyi_image
 
 
 class CurvatureError(ArithmeticError):
-    """Mean curvature indeterminate (one-sided limits disagree)."""
+    """Mean curvature undefined: dp* = 0 or f = 0 at the point."""
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ def patch_xyz(surface: SurfacePatch, s, phi):
 
 def horizontal_normal_components(surface: SurfacePatch, s, phi):
     """(nu_X, nu_Y) components of N^h at sigma(s, phi), vectorized."""
-    f, fd, _, g, gd, _ = surface.profile.eval(s)
-    d = surface.scale
-    dps = d * d * (-2.0 * f * fd + 1j * gd)  # dp* of the dilated profile
+    values = surface.profile.eval(s)
+    f, d = values[0], surface.scale
+    dps = d * d * _image(values)[1]  # dp* of the dilated profile
     w = np.exp(1j * np.asarray(phi)) * dps
     return -d * f * np.imag(w), d * f * np.real(w)
 
@@ -126,43 +126,25 @@ def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
 def mean_curvature(surface: SurfacePatch, s):
     """Horizontal mean curvature H^h(s); independent of phi.
 
-    ``s`` is a number or an array. At isolated points where fd(s) = 0 the
-    formula is indeterminate; the value is recovered from one-sided
-    evaluations at s +- h and their average is used when they agree to 1e-3
-    relative. Where they disagree, or the formula is not finite, an array
-    gets ``nan`` and a number raises CurvatureError.
+    With dp* = a + ib and d^2p* = c + id (derivatives in s),
+    H^h = (-b / (|dp*| f) + 2 f (ad - bc) / |dp*|^3) / scale, defined wherever
+    dp* != 0 and f != 0. ``s`` is a number or an array; where H^h is undefined
+    an array holds ``nan`` and a number raises CurvatureError.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    values = surface.profile.eval(s_arr)
-    out = _mean_curvature_regular(values, surface.scale)
-    pending = np.abs(values[1]) < 1e-8 * np.maximum(1.0, np.abs(values[0]))  # fd ~ 0
-    if np.any(pending):
-        lo, hi = surface.profile.domain
-        h = 1e-5 * (hi - lo)
-        sp = s_arr[pending]
-        left, right = np.split(_mean_curvature_regular(
-            surface.profile.eval(np.concatenate([sp - h, sp + h])), surface.scale), 2)
-        mid = 0.5 * (left + right)
-        agree = np.abs(left - right) <= 1e-3 * np.maximum(1.0, np.abs(mid))
-        out[pending] = np.where(agree, mid, np.nan)
+    values = surface.profile.eval(np.atleast_1d(np.asarray(s, dtype=float)))
+    f, fd, fdd, _, _, gdd = values
+    dps = _image(values)[1]
+    a, b = np.real(dps), np.imag(dps)
+    c, d = -2.0 * (fd * fd + f * fdd), gdd
+    m = np.abs(dps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (-b / (m * f) + 2.0 * f * (a * d - b * c) / m ** 3) / surface.scale
+    out = np.where(np.isfinite(out), out, np.nan)
     if np.ndim(s) > 0:
         return out
     if np.isnan(out[0]):
-        raise CurvatureError(f"mean curvature indeterminate at s={s}")
+        raise CurvatureError(f"mean curvature undefined at s={s}")
     return float(out[0])
-
-
-def _mean_curvature_regular(values, scale: float):
-    """The H^h formula on the profile's six values; nan where it is not finite."""
-    f, fd, fdd, _, _, gdd = values
-    _, dps = _image(values)
-    ddps = -2.0 * (fd * fd + f * fdd) + 1j * gdd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.abs(dps)
-        u = dps / m
-        du = ddps / m - dps * np.real(np.conj(dps) * ddps) / m ** 3
-        out = (-np.imag(u) / f - np.imag(du) / fd) / scale
-    return np.where(np.isfinite(out), out, np.nan)
 
 
 # -- mesh export -----------------------------------------------------------------
@@ -181,7 +163,7 @@ def export_mesh(surface: SurfacePatch, obj_path: str, csv_path: str | None = Non
 
     Vertices are `v x y t`; the mesh wraps in phi and leaves pole holes. The
     CSV carries per-vertex horizontal-normal norm and mean curvature (``nan``
-    where the curvature formula is indeterminate).
+    where it is undefined: dp* = 0 or f = 0).
     """
     lo, hi = surface.profile.domain
     s_vals = lo + (hi - lo) * (np.arange(1, n_s + 1)) / (n_s + 1)

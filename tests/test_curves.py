@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from heisring import curves as cv
 from heisring import heis
 from heisring import modulus as md
+from heisring import surface as sf
 from heisring.heis import dist, gauge
 from heisring.profiles import BETA_HI, BETA_LO, catalog
 
@@ -144,12 +146,27 @@ def test_line_integral_of_one_is_length():
 
 
 def test_export_csv(tmp_path):
-    curve = cv.quasiradial(RING, 2.0, 0.0, n=16)
-    path = curve.export_csv(str(tmp_path / "q.csv"))
-    lines = open(path).read().splitlines()
-    assert lines[0] == "tau,x,y,t,xi,beta,phi,residual"
-    assert len(lines) == 18
-    assert float(lines[1].split(",")[-1]) <= 1e-8
+    quasi = cv.quasiradial(RING, 2.0, 0.0, n=16)
+    flow = sf.flow_curve(sf.SurfacePatch(catalog("koranyi_sphere", 1.0)), 3.0, 0.0,
+                         (2.9, 3.1), n=16)
+    assert quasi.xi is not None and flow.xi is None
+    for curve in (quasi, flow):
+        path = curve.export_csv(str(tmp_path / "c.csv"))
+        lines = open(path, newline="").read().split("\r\n")
+        assert lines[0] == "tau,x,y,t,xi,beta,phi,residual"
+        assert len(lines) == 19 and lines[-1] == ""  # every line ends in \r\n
+        tilde = [getattr(curve, k) for k in ("xi", "beta", "phi")]
+        for i, line in enumerate(lines[1:-1]):
+            row = line.split(",")
+            want = [curve.tau[i], curve.z[i].real, curve.z[i].imag, curve.t[i]]
+            want += [math.nan if v is None else v[i] for v in tilde]
+            # %.17g round-trips exactly; absent tilde arrays read nan
+            assert np.array_equal([float(v) for v in row[:7]], want, equal_nan=True)
+            assert re.fullmatch(r"\d\.\d{3}e[+-]\d\d", row[7])
+            assert float(row[7]) == pytest.approx(curve.residual, rel=1e-3)
+            assert float(row[7]) <= 1e-8
+    # the last file written is the flow curve's
+    assert all(line.split(",")[4:7] == ["nan"] * 3 for line in lines[1:-1])
 
 
 # -- array families against single curves ------------------------------------

@@ -148,20 +148,18 @@ def test_bubble_mean_curvature_constant():
 
 
 def test_koranyi_mean_curvature_closed_form():
-    # 3 sqrt(-cos beta) / R away from the equator
+    # 3 sqrt(-cos beta) / R, the equator beta = pi (where fd = 0) included
     for R in (1.0, 1.5):
         patch = SurfacePatch(catalog("koranyi_sphere", R))
         for beta in np.linspace(BETA_LO + 0.2, BETA_HI - 0.2, 13):
-            if abs(beta - math.pi) < 0.05:
-                continue  # fd = 0 there; covered by the indeterminate test
             want = 3.0 * math.sqrt(-math.cos(beta)) / R
             assert sf.mean_curvature(patch, float(beta)) == pytest.approx(
                 want, rel=1e-8)
 
 
-def test_koranyi_equator_recovered_from_one_sided_limits():
-    # fd(pi) = 0, but both one-sided values approach 3/R
-    assert sf.mean_curvature(KORANYI, math.pi) == pytest.approx(3.0, rel=1e-3)
+def test_koranyi_equator_is_finite_where_fd_vanishes():
+    # fd(pi) = 0, but dp* != 0 and f != 0 there, so H^h is defined
+    assert sf.mean_curvature(KORANYI, math.pi) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_mean_curvature_matches_projected_curvature_oracle():
@@ -200,18 +198,18 @@ def test_mean_curvature_array_matches_scalar_bit_for_bit():
 
 
 def test_mean_curvature_array_recovers_koranyi_equator_without_warnings():
-    # fd(pi) = 0 inside an array: that point takes the one-sided route, and
-    # the call raises no RuntimeWarning (the suite turns those into errors)
+    # fd(pi) = 0 inside an array, and the call raises no RuntimeWarning (the
+    # suite turns those into errors)
     beta = np.array([BETA_LO + 0.3, math.pi, BETA_HI - 0.3])
     got = sf.mean_curvature(KORANYI, beta)
-    assert got[1] == pytest.approx(3.0, rel=1e-3)
+    assert got[1] == pytest.approx(3.0, rel=1e-12)
     assert got[1] == sf.mean_curvature(KORANYI, math.pi)
     assert got[0] == pytest.approx(3.0 * math.sqrt(-math.cos(beta[0])), rel=1e-8)
 
 
 def test_mean_curvature_nan_in_array_where_scalar_raises():
-    # fd and gd both vanish at s = 1, where H^h jumps from +1/sqrt(8) to
-    # -1/sqrt(8): the one-sided limits disagree
+    # fd and gd both vanish at s = 1, so dp* = 0 and H^h is undefined there:
+    # it jumps from +1/sqrt(8) to -1/sqrt(8)
     patch = SurfacePatch(parse_profile("f = 1 + (s - 1)^2/2\ng = (s - 1)^2\ndomain = (0, 2)\n"))
     near = sf.mean_curvature(patch, np.array([1.0 - 1e-3, 1.0 + 1e-3]))
     assert near == pytest.approx([8 ** -0.5, -(8 ** -0.5)], rel=1e-4)
@@ -224,6 +222,15 @@ def test_mean_curvature_nan_in_array_where_scalar_raises():
     assert got[2] == sf.mean_curvature(patch, 1.5)
 
 
+def test_mean_curvature_continuous_at_double_zero_of_fd():
+    # fd = 3 (s - 1)^2 has a double zero at s = 1, but dp* = -i and f = 2
+    # there, so H^h is defined and continuous: 0.5 at s = 1
+    patch = SurfacePatch(parse_profile("f = 2 + (s - 1)^3\ng = -s\ndomain = (0, 2)\n"))
+    got = sf.mean_curvature(patch, np.array([1.0 - 1e-4, 1.0, 1.0 + 1e-4]))
+    assert got == pytest.approx([0.5096, 0.5, 0.4904], rel=1e-9)
+    assert sf.mean_curvature(patch, 1.0) == got[1]
+
+
 def test_geometry_row_at_koranyi_equator(tmp_path):
     # 1025 samples put the middle one at beta = pi, where fd = 0
     path = tmp_path / "k.csv"
@@ -232,7 +239,7 @@ def test_geometry_row_at_koranyi_equator(tmp_path):
     rows = path.read_text().splitlines()[1:]
     s, _, _, _, hh = rows[512].split(",")
     assert float(s) == pytest.approx(math.pi, abs=1e-15)
-    assert float(hh) == pytest.approx(3.0, rel=1e-3)
+    assert float(hh) == pytest.approx(3.0, rel=1e-12)
 
 
 # -- mesh export --------------------------------------------------------------
