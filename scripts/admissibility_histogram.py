@@ -2,8 +2,10 @@
 """Histogram of extremal-density line integrals over random horizontal curves.
 
 Writes one CSV per surface with the binned distribution of line integrals of
-the extremal density over seeded random boundary-connecting curves. The
-interesting fact is that the minimum stays above 1.
+the extremal density over seeded random boundary-connecting curves. For this
+family, whose beta paths are centred within pi +- 0.3, the minimum stays above
+1; a family whose centres range over the whole band falls below 1 on the
+bubble and cc surfaces.
 
 Usage: python3 scripts/admissibility_histogram.py [--count 1000] [--out DIR]
 """

@@ -239,57 +239,79 @@ class ReparamError(RuntimeError):
 
 REPARAM_TOL = 1e-12  # arg residual at which the inversion's Newton iteration stops
 POLISH_TOL = 2e-15  # arg residual above which a converged point takes a polishing step
-SEED_N = 4096  # cells of the monotone beta(s) sample that seeds the inversion
+SEED_N = 8192  # cells of the monotone beta(s) sample that seeds the inversion
+
+
+def _arg_residual(values, beta):
+    """(arg p* - beta, d arg p*/ds) from the evaluator's six values."""
+    ps, dps = _image(values)
+    return arg_band(ps) - beta, arg_rate(ps, dps)
 
 
 def reparam_by_argument(curve: ProfileCurve) -> ProfileCurve:
     """Reparametrize a validated profile by its Koranyi argument beta.
 
-    The inverse s(beta) is found by Newton iterations seeded from a dense
-    monotone sample of beta(s) (bracketing is guaranteed by monotonicity).
-    Each step evaluates the source curve once, at the points whose arg
-    residual is still above REPARAM_TOL. Targets are clipped to the sampled
-    range of beta(s), which the clamped s can reach. Derivatives come from the
-    inverse-function rule at each point's last evaluation, so every output is
-    a pure function of its own beta: a batch, its pieces and scalar calls
-    agree bit for bit.
+    The inverse s(beta) is found by Newton iterations seeded from a cubic
+    Hermite fit of s(beta) on SEED_N = 8192 cells of a monotone sample of
+    beta(s), with slopes ds/dbeta = 1 / arg_rate from the same sample. Each
+    seed is clipped into its own cell, so monotonicity still brackets the
+    root; a cell with a non-finite slope is seeded linearly. The first step
+    evaluates every seed, and most points stop there: 1.1-1.3 native
+    evaluations per point on the catalog profiles. Each later step evaluates
+    the source curve once, at the points whose arg residual is still above
+    REPARAM_TOL or that are still polishing. Targets are clipped to the
+    sampled range of beta(s), which the clamped s can reach. Derivatives come
+    from the inverse-function rule at each point's last evaluation, so every
+    output is a pure function of its own beta: a batch, its pieces and scalar
+    calls agree bit for bit.
     """
     if curve.by_argument:
         return curve
     lo, hi = curve.domain
     eps = REPARAM_CLAMP * (hi - lo)
     s_grid = np.linspace(lo + eps, hi - eps, SEED_N + 1)
-    beta_grid = arg_band(koranyi_image(curve, s_grid)[0])
-    if np.any(np.diff(beta_grid) <= 0):
+    ps, dps = koranyi_image(curve, s_grid)
+    beta_grid = arg_band(ps)
+    h = np.diff(beta_grid)
+    if np.any(h <= 0):
         raise ReparamError(f"beta(s) is not strictly increasing for {curve.name!r}")
+    # s(beta_i + x) ~ s_i + x (c1 + x (c2 + x c3)) on cell i
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = 1.0 / arg_rate(ps, dps)
+        m0, m1 = m[:-1], m[1:]
+        c1 = np.diff(s_grid) / h
+        c2 = (3.0 * c1 - 2.0 * m0 - m1) / h
+        c3 = (m0 + m1 - 2.0 * c1) / (h * h)
+    cubic = np.isfinite(c2) & np.isfinite(c3)
+    c1 = np.where(cubic, m0, c1)
+    c2 = np.where(cubic, c2, 0.0)
+    c3 = np.where(cubic, c3, 0.0)
 
     def evaluator(beta):
         b = np.clip(np.ravel(beta), beta_grid[0], beta_grid[-1])
-        s = np.interp(b, beta_grid, s_grid)
-        last = np.empty((6, b.size))  # f ... gdd at each point's last step
-        resid = np.zeros(b.size)  # zero residual: the first step evaluates the seed
-        bdot = np.ones(b.size)
-
-        def newton_step(idx):
-            s[idx] = np.clip(s[idx] - resid[idx] / bdot[idx], lo + eps, hi - eps)
-            last[:, idx] = out = curve.eval(s[idx])
-            ps, dps = _image(out)
-            resid[idx] = arg_band(ps) - b[idx]
-            bdot[idx] = arg_rate(ps, dps)
+        i = np.searchsorted(beta_grid[1:-1], b, side="right")
+        x = b - beta_grid[i]
+        s = np.clip(s_grid[i] + x * (c1[i] + x * (c2[i] + x * c3[i])),
+                    s_grid[i], s_grid[i + 1])
+        last = np.array(curve.eval(s))  # f ... gdd at each point's last step
+        resid, bdot = _arg_residual(last, b)
 
         # Below REPARAM_TOL, a point above POLISH_TOL takes polishing steps
         # while each cuts its residual fourfold: one step in general, a few
         # near a band edge, where beta(s) is flat.
-        idx = np.arange(b.size)
-        prev = np.full(b.size, np.inf)  # residual before the step; inf above tol
-        for _ in range(80):
-            newton_step(idx)
+        r = np.abs(resid)
+        idx = np.flatnonzero(r > POLISH_TOL)
+        prev = np.where(r[idx] > REPARAM_TOL, np.inf, r[idx])  # residual; inf above tol
+        for _ in range(79):  # 80 evaluations with the first
+            if not idx.size:
+                break
+            s[idx] = np.clip(s[idx] - resid[idx] / bdot[idx], lo + eps, hi - eps)
+            last[:, idx] = out = curve.eval(s[idx])
+            resid[idx], bdot[idx] = _arg_residual(out, b[idx])
             r = np.abs(resid[idx])
             keep = (r > REPARAM_TOL) | ((r > POLISH_TOL) & (4.0 * r < prev))
             idx, prev = idx[keep], np.where(r > REPARAM_TOL, np.inf, r)[keep]
-            if not idx.size:
-                break
-        else:
+        if idx.size:
             raise ReparamError(f"inversion of beta(s) did not converge for {curve.name!r}")
 
         f, fd, fdd, g, gd, gdd = last

@@ -7,9 +7,9 @@ import pytest
 
 from heisring import profiles
 from heisring.profiles import (BETA_HI, BETA_LO, DomainError, ProfileCurve,
-                               arg_band, arg_rate, catalog, endpoint_limit,
-                               koranyi_image, parse_profile, reparam_by_argument,
-                               validate)
+                               ReparamError, arg_band, arg_rate, catalog,
+                               endpoint_limit, koranyi_image, parse_profile,
+                               reparam_by_argument, validate)
 
 
 def fd_check(curve, s, h=1e-6):
@@ -242,10 +242,24 @@ def band_samples(n, seed):
     return beta
 
 
-@pytest.mark.parametrize("name", sorted(BYARG_SOURCES))
+# arg p* = s and s + pi/2: beta' = 1 up to the band edges, where targets are
+# clipped to the sampled range (the by-argument profiles of test_modulus.py)
+BOUNDED_RATE_SOURCES = {
+    "cos_sin": "f = sqrt(-cos(s)); g = sin(s); domain = (pi/2, 3*pi/2)",
+    "sin_cos": "f = sin(s)^0.5; g = cos(s); domain = (0, pi)",
+}
+
+
+def _byarg_source(name):
+    if name in BOUNDED_RATE_SOURCES:
+        return parse_profile(BOUNDED_RATE_SOURCES[name], name=name)
+    return BYARG_SOURCES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(BYARG_SOURCES) + sorted(BOUNDED_RATE_SOURCES))
 def test_reparam_batch_pieces_and_scalars_agree_bitwise(name):
     # each output is a pure function of its own beta, whatever the batch
-    rc = reparam_by_argument(BYARG_SOURCES[name]())
+    rc = reparam_by_argument(_byarg_source(name))
     beta = band_samples(2 * 10 ** 5, seed=11)
     batch = np.array(rc.eval(beta))
     pieces = np.concatenate([np.array(rc.eval(beta[i:i + 4099]))
@@ -263,10 +277,11 @@ def test_reparam_arg_residual_at_rounding_level(name):
     assert np.max(np.abs(arg_band(-f * f + 1j * g) - beta)) <= 4e-15
 
 
-@pytest.mark.parametrize("name", ["bubble_set", "cc_sphere"])
+@pytest.mark.parametrize("name", sorted(BYARG_SOURCES))
 def test_reparam_native_points_per_point(name):
-    # one source evaluation per Newton step, converged points leave the batch
-    src = catalog(name, 1.0)
+    # the Hermite seed converges at its first source evaluation for most
+    # points; converged points leave the batch
+    src = BYARG_SOURCES[name]()
     count = [0]
 
     def counting(s):
@@ -277,7 +292,28 @@ def test_reparam_native_points_per_point(name):
     count[0] = 0
     beta = band_samples(10 ** 5, seed=13)
     rc.eval(beta)
-    assert count[0] <= 3 * beta.size
+    assert count[0] <= 1.4 * beta.size
+
+
+def test_reparam_seed_builds_where_ds_dbeta_is_infinite():
+    # beta = pi + s^3 is stationary at s = 0, an exact node of the seed
+    # sample, so ds/dbeta is infinite there and the two cells beside it, each
+    # about 2.3e-11 wide in beta, are seeded linearly; building the seed
+    # raises nothing, warnings included
+    rc = reparam_by_argument(parse_profile(
+        "f = sqrt(cos(s^3)); g = -sin(s^3); domain = (-(pi/2)^(1/3), (pi/2)^(1/3))",
+        name="flat middle"))
+    beta = math.pi + np.array([-2e-11, -1e-12, 1e-12, 2e-11, 0.4])
+    f, _, _, g, _, _ = rc.eval(beta)
+    assert np.max(np.abs(arg_band(-f * f + 1j * g) - beta)) <= 4e-15
+
+
+def test_reparam_rejects_non_monotone_argument():
+    wobble = parse_profile(
+        "f = sin(s) * (1 - 0.9*exp(-10*(s - 1.5)^2)); g = cos(s);"
+        " domain = (0, pi)", name="wobble")
+    with pytest.raises(ReparamError, match="not strictly increasing"):
+        reparam_by_argument(wobble)
 
 
 def test_reparam_identity_for_by_argument_curve():
