@@ -1,24 +1,27 @@
 """Small expression language for user-defined profile curves.
 
-Grammar (whitespace insignificant, ``#`` comments to end of line):
+A profile source has one statement per line or per ``;``, and ``#`` starts a
+comment: ``param NAME = expr``, ``f = expr``, ``g = expr`` and
+``domain = (expr, expr)``, for the profile (f(s), 0, g(s)) on (lo, hi).
 
-    statement := "param" NAME "=" expr | NAME "=" expr
-               | "domain" "=" "(" expr "," expr ")"
-    expr      := term (("+" | "-") term)*
-    term      := unary (("*" | "/") unary)*
-    unary     := "-" unary | power
-    power     := atom ("^" unary)?          # right associative, const exponent
-    atom      := NUMBER | NAME | "(" expr ")" | FUNC "(" expr ")"
-
-Known functions: sin cos tan sqrt exp log abs atan. The constant ``pi`` and
-declared parameter names are in scope; ``s`` is the curve parameter.
+Python's own parser (``ast``) reads each expression, with ``^`` as ``**``, and
+accepts only: ``+ - * /``; ``^``, which binds like ``**`` (right-associative
+and tighter than unary minus: ``2^3^2`` is ``2^9``, ``-s^2`` is ``-(s^2)``)
+and whose exponent must not depend on ``s``; unary ``-``; the names ``s``,
+``pi`` and the declared parameters; one-argument calls of sin cos tan sqrt exp
+log abs atan; decimal literals ``12``, ``007``, ``1.5``, ``1.``, ``.5`` with
+an optional exponent as in ``2e-3``. Anything else Python reads is a
+ParseError: ``**`` as written, ``+s``, ``//``, ``1_000``, ``0x10``, ``1j``,
+``True``, comparisons, attributes, keyword arguments, and Python keywords as
+names. Positions in errors and in the returned trees index the user's text.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
-from dataclasses import dataclass
+import warnings
 
 from . import autodiff as ad
 
@@ -29,212 +32,83 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),=]))"
-)
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+def _parse(text: str, domain: bool = False):
+    """Checked tree of one expression, or of a (lo, hi) pair if ``domain``."""
+    src = "".join(" " if c.isspace() else c for c in text)
+    bad = re.search(r"(?<=\*)\*|[^\w .+\-*/^()%s]" % ("," * domain), src, re.ASCII)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    # Python reads 007 as an error; blanking the leading zeros keeps columns
+    src = re.sub(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=\d)", lambda m: " " * len(m[0]), src)
+    # column of src -> position in text; ^ is read as **, leading blanks (an indent) dropped
+    skip = len(src) - len(src.lstrip())
+    cols = [i for i, c in enumerate(text) for _ in range(1 + (c == "^"))][skip:] + [len(text)]
+    src = src.lstrip().replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "1or s" only warns before it parses
+            tree = ast.parse(src, mode="eval").body
+    except SyntaxError as err:
+        raise ParseError(err.msg, cols[min((err.offset or 0) - 1, len(cols) - 1)]) from None
+    comma = text.find(",")
+    if domain and not (isinstance(tree, ast.Tuple) and len(tree.elts) == 2 and text.count(",") == 1
+                       and text[:comma].count("(") - text[:comma].count(")") == 1):
+        raise ParseError(f"domain must be of the form (lo, hi): {text!r}", 0)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.expr) or domain and node is tree:
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append(Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
-
-
-# -- AST ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-    pos: int
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token], end: int):
-        self.tokens = tokens
-        self.i = 0
-        self.end = end
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.end)
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return tok
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while (tok := self.peek()) is not None and tok.text in "+-":
-            self.next()
-            node = Binary(tok.text, node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while (tok := self.peek()) is not None and tok.text in "*/":
-            self.next()
-            node = Binary(tok.text, node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok is not None and tok.text == "-":
-            self.next()
-            return Unary("-", self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.text == "^":
-            self.next()
-            return Binary("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self):
-        tok = self.next()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            nxt = self.peek()
-            if nxt is not None and nxt.text == "(":
-                if tok.text not in ad.FUNCTIONS:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.pos)
-                self.next()
-                arg = self.parse_expr()
-                self.expect(")")
-                return Call(tok.text, arg, tok.pos)
-            return Var(tok.text, tok.pos)
-        if tok.text == "(":
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        i, j = node.col_offset, node.end_col_offset
+        match node:
+            case ast.BinOp(op=ast.Pow(), right=p) if any(
+                    isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(p)):
+                raise ParseError("exponent must not depend on s", 0)
+            case (ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow())
+                  | ast.UnaryOp(op=ast.USub()) | ast.Name()):
+                pass
+            case ast.Call(func=ast.Name(id=name) as func, args=[_], keywords=[]) if (
+                    func.col_offset == i):  # a call of sin, not of (sin)
+                if name not in ad.FUNCTIONS:
+                    raise ParseError(f"unknown function {name!r}", cols[i])
+            case ast.Constant() if re.fullmatch(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", src[i:j]):
+                node.value = float(src[i:j])
+            case _:
+                raise ParseError(f"unexpected {src[i:j]!r}", cols[i])
+        node.col_offset, node.end_col_offset = cols[i], cols[j]
+    return tree
 
 
 def parse_expression(text: str):
-    tokens = tokenize(text)
-    parser = _Parser(tokens, len(text))
-    node = parser.parse_expr()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return node
-
-
-# -- evaluation ---------------------------------------------------------------
-
-
-def depends_on(node, name: str) -> bool:
-    if isinstance(node, Var):
-        return node.name == name
-    if isinstance(node, Unary):
-        return depends_on(node.arg, name)
-    if isinstance(node, Binary):
-        return depends_on(node.left, name) or depends_on(node.right, name)
-    if isinstance(node, Call):
-        return depends_on(node.arg, name)
-    return False
+    """The checked ``ast`` tree of one expression; positions index ``text``."""
+    return _parse(text)
 
 
 def evaluate(node, env: dict):
-    """Evaluate an AST; env maps names to Dual2 or floats."""
-    if isinstance(node, Num):
+    """Evaluate a parsed tree; env maps names to Dual2 or floats."""
+    if isinstance(node, ast.Constant):
         return node.value
-    if isinstance(node, Var):
+    if isinstance(node, ast.Name):
         try:
-            return env[node.name]
+            return env[node.id]
         except KeyError:
-            raise ParseError(f"unknown identifier {node.name!r}", node.pos) from None
-    if isinstance(node, Unary):
-        return -evaluate(node.arg, env)
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, env)
-        fn = ad.FUNCTIONS[node.func]
-        if isinstance(arg, ad.Dual2):
-            return fn(arg)
-        return fn(ad.Dual2(arg)).val
-    if isinstance(node, Binary):
-        if node.op == "^":
-            if depends_on(node.right, "s"):
-                raise ParseError("exponent must not depend on s", 0)
-            p = evaluate(node.right, dict(env, s=0.0))
-            if isinstance(p, ad.Dual2):
-                p = p.val
-            base = evaluate(node.left, env)
-            if isinstance(base, ad.Dual2):
-                return base.pow_const(float(p))
-            return base ** float(p)
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    raise TypeError(f"bad AST node {node!r}")
-
-
-def strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-
-
-_DOMAIN_RE = re.compile(r"^\s*\(\s*(.*?)\s*,\s*(.*?)\s*\)\s*$", re.S)
+            raise ParseError(f"unknown identifier {node.id!r}", node.col_offset) from None
+    if isinstance(node, ast.UnaryOp):
+        return -evaluate(node.operand, env)
+    if isinstance(node, ast.Call):
+        arg, fn = evaluate(node.args[0], env), ad.FUNCTIONS[node.func.id]
+        return fn(arg) if isinstance(arg, ad.Dual2) else fn(ad.Dual2(arg)).val
+    op = type(node.op)
+    if op is ast.Pow:
+        p, base = evaluate(node.right, env), evaluate(node.left, env)
+        p = float(p.val if isinstance(p, ad.Dual2) else p)
+        return base.pow_const(p) if isinstance(base, ad.Dual2) else base ** p
+    left, right = evaluate(node.left, env), evaluate(node.right, env)
+    if op is ast.Add:
+        return left + right
+    if op is ast.Sub:
+        return left - right
+    if op is ast.Mult:
+        return left * right
+    return left / right
 
 
 def parse_profile_source(text: str):
@@ -244,30 +118,22 @@ def parse_profile_source(text: str):
     errors, missing statements or a malformed domain.
     """
     params: dict[str, float] = {"pi": math.pi}
-    f_ast = g_ast = None
-    domain = None
-    for raw in strip_comments(text).replace(";", "\n").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    f_ast = g_ast = domain = None
+    for line in filter(None, (part.strip() for raw in text.splitlines()
+                              for part in raw.partition("#")[0].split(";"))):
         if line.startswith("param "):
             head, _, rhs = line[6:].partition("=")
             name = head.strip()
             if not name.isidentifier() or not rhs.strip():
                 raise ParseError(f"bad param statement {line!r}", 0)
-            value = evaluate(parse_expression(rhs), dict(params))
-            params[name] = float(value)
+            params[name] = float(evaluate(parse_expression(rhs), dict(params)))
             continue
         head, eq, rhs = line.partition("=")
         name = head.strip()
         if not eq or not rhs.strip():
             raise ParseError(f"bad statement {line!r}", 0)
         if name == "domain":
-            m = _DOMAIN_RE.match(rhs)
-            if m is None:
-                raise ParseError(f"domain must be of the form (lo, hi): {rhs!r}", 0)
-            lo = float(evaluate(parse_expression(m.group(1)), dict(params)))
-            hi = float(evaluate(parse_expression(m.group(2)), dict(params)))
+            lo, hi = (float(evaluate(e, dict(params))) for e in _parse(rhs, domain=True).elts)
             if not lo < hi:
                 raise ParseError(f"empty domain ({lo}, {hi})", 0)
             domain = (lo, hi)

@@ -33,15 +33,6 @@ class TangentVector:
     c: float
 
 
-@dataclass(frozen=True)
-class HorVector:
-    """Horizontal vector nu1*X + nu2*Y at ``base``."""
-
-    base: HPoint
-    nu1: float
-    nu2: float
-
-
 ORIGIN = HPoint(0j, 0.0)
 
 

@@ -458,17 +458,11 @@ def parse_profile(text: str, name: str = "user profile") -> ProfileCurve:
     def evaluator(s):
         env = dict(params)
         env["s"] = ad.Dual2.seed(s)
-        fv = exprparse.evaluate(f_ast, env)
-        gv = exprparse.evaluate(g_ast, env)
-        if not isinstance(fv, ad.Dual2):
-            fv = ad.Dual2(np.full_like(np.asarray(s, dtype=float), fv), 0.0, 0.0)
-        if not isinstance(gv, ad.Dual2):
-            gv = ad.Dual2(np.full_like(np.asarray(s, dtype=float), gv), 0.0, 0.0)
-        zero = np.zeros_like(np.asarray(s, dtype=float))
-        return (
-            fv.val + zero, fv.d1 + zero, fv.d2 + zero,
-            gv.val + zero, gv.d1 + zero, gv.d2 + zero,
-        )
+        z = np.zeros_like(np.asarray(s, dtype=float))
+        zero = ad.Dual2(z, z, z)  # adding it broadcasts a constant f or g, too
+        fv = zero + exprparse.evaluate(f_ast, env)
+        gv = zero + exprparse.evaluate(g_ast, env)
+        return fv.val, fv.d1, fv.d2, gv.val, gv.d1, gv.d2
 
     return ProfileCurve(name, domain, evaluator,
                         params={k: v for k, v in params.items() if k != "pi"})

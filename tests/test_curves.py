@@ -246,6 +246,16 @@ def test_admissibility_report_is_pinned(surface_ring):
     assert (rep.min.hex(), rep.mean.hex()) == ADMISSIBILITY_300[name]
 
 
+def test_random_family_phase_matches_refined_integration(monkeypatch, surface_ring):
+    # the residual dt + 2|z|^2 dphi does not involve phi itself, so it cannot
+    # see the error of the cumulative-Simpson phase; a 4x finer grid does
+    _, ring = surface_ring
+    fam = cv.random_family(ring, 300, seed0=0, n=256)
+    monkeypatch.setattr(cv, "REFINE", 16)
+    ref = cv.random_family(ring, 300, seed0=0, n=256)
+    assert np.max(np.abs(fam.phi - ref.phi)) < 2e-8
+
+
 def test_random_family_needs_a_curve():
     with pytest.raises(ValueError):
         cv.random_family(RING, 0)

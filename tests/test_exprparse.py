@@ -111,3 +111,64 @@ def test_profile_source_missing_statement():
 def test_profile_source_empty_domain():
     with pytest.raises(ParseError, match="domain"):
         exprparse.parse_profile_source("f = s; g = -s; domain = (1, 1)")
+
+
+# -- the boundary of the language ------------------------------------------------
+
+
+def at_half(text: str):
+    return evaluate(parse_expression(text), {"s": ad.Dual2.seed(0.5), "pi": math.pi})
+
+
+# Python's parser reads most of these; none of them is in the language
+OUTSIDE = [
+    "s**2", "+s", "1_000", "0x10", "0b1", "0o7", "1j", "True", "None", "...", "'s'", "f'{s}'",
+    "s < 1", "s == 1", "not s", "s and s", "1or s", "s // 2", "s % 2", "s @ s", "s & 1",
+    "s | 1", "~s", "s << 1", "s.real", "s[0]", "[s]", "{s}", "lambda s: s", "s if s else 1",
+    "(s := 1)", "s = 1", "sin(x=s)", "atan(s, 1)", "sin(s,)", "sin(*s)", "(sin)(s)",
+    "sinh(s)", "2^s", "2^(1 + sin(s))", "s,", "()", "(s, s)", "s # c", "s \\\n + 1", "α",
+    "ｓ", "2 s", "sin s", "1e", "",
+]
+
+
+@pytest.mark.parametrize("text", OUTSIDE)
+def test_outside_the_language_rejected(text, recwarn):
+    with pytest.raises(ParseError):
+        at_half(text)
+    assert not recwarn.list  # "1or s" makes Python's parser warn
+
+
+@pytest.mark.parametrize("text, pos", [("s^2 + bogus", 6), ("s^2^2 + q", 8), ("1 + * 2", 4)])
+def test_error_position_indexes_the_users_text(text, pos):
+    with pytest.raises(ParseError) as err:
+        at_half(text)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, value", [
+    ("12", 12.0), ("007", 7.0), ("1.5", 1.5), ("1.", 1.0), (".5", 0.5), ("2e-3", 2e-3),
+    ("1.E+2", 100.0), ("2^3^2", 512.0), ("-2^2", -4.0), ("2^-1", 0.5), ("2*-3", -6.0),
+    ("\t-s^2 ", -0.25), ("1 - 2 - 3", -4.0), ("8/4/2", 1.0), ("sin (0)", 0.0),
+])
+def test_language_values(text, value):
+    out = at_half(text)
+    assert getattr(out, "val", out) == value
+
+
+def test_literals_are_floats():
+    assert type(parse_expression("2").value) is float
+
+
+@pytest.mark.parametrize("domain", [
+    "((0, 1))", "(0), (1)", "(0, 1,)", "0, 1", "(0, 1, 2)", "(0,)", "(0, sin(1,))", "(0 1)",
+])
+def test_profile_source_domain_must_be_one_pair(domain):
+    with pytest.raises(ParseError):
+        exprparse.parse_profile_source(f"f = s; g = -s; domain = {domain}")
+
+
+def test_profile_source_statements_and_comments():
+    src = "param a = 2 # a; b = 3\n f = a*s ; g = -s;; domain = ( (0) , a^2 )  # (1, 2)"
+    _, _, domain, params = exprparse.parse_profile_source(src)
+    assert domain == (0.0, 4.0)
+    assert params == {"pi": math.pi, "a": 2.0}
