@@ -16,6 +16,7 @@ import numpy as np
 from . import modulus as modulus_mod
 from . import surface as surface_mod
 from .curves import DEFAULT_RESOLUTION, FAMILY_RESOLUTION
+from .exprparse import ParseError
 from .profiles import ValidationError, catalog, parse_profile, validate
 
 SURFACE_ALIASES = {
@@ -43,7 +44,10 @@ def _resolve_profile(args):
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read profile file: {exc}")
-        return parse_profile(text, name=args.profile), args.profile
+        try:
+            return parse_profile(text, name=args.profile), args.profile
+        except ParseError as exc:
+            raise UsageError(f"cannot parse profile file {args.profile}: {exc}")
     name = args.surface or "koranyi"
     if name not in SURFACE_ALIASES:
         raise UsageError(f"unknown surface {name!r}; choose from "

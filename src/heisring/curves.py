@@ -65,8 +65,14 @@ class HorizontalCurve(_Samples):
 
     @classmethod
     def from_samples(cls, tau, z, t, dz, dt, **tilde):
+        """The curve of the given samples and their residual; ``tau`` must be a
+        uniform grid, since line_integral uses its step."""
+        tau = np.asarray(tau, dtype=float)
+        if tau.size and np.any(np.abs(tau - np.linspace(tau[0], tau[-1], tau.size))
+                               > 1e-12 * abs(tau[-1] - tau[0])):
+            raise ValueError("curve samples need a uniform parameter grid")
         res = float(contact_residual(np.asarray(z), np.asarray(dz), np.asarray(dt)))
-        return cls(np.asarray(tau, dtype=float), np.asarray(z, dtype=complex),
+        return cls(tau, np.asarray(z, dtype=complex),
                    np.asarray(t, dtype=float), np.asarray(dz, dtype=complex),
                    np.asarray(dt, dtype=float), res, **tilde)
 
@@ -114,10 +120,10 @@ def line_integral(rho, curve, with_error: bool = False):
     """Horizontal line integral of a density along a curve or a family.
 
     ``rho`` is a vectorized callable rho(z, t) >= 0, called once per chunk of
-    whole curves. Composite Simpson on the shared sample grid; the error
-    estimate compares with half resolution. A HorizontalCurve gives a float,
-    a CurveFamily an array of one value per row; ``with_error`` returns the
-    pair (values, error estimates).
+    whole curves. Composite Simpson with the step of the shared uniform grid;
+    the error estimate compares with half resolution. A HorizontalCurve gives
+    a float, a CurveFamily an array of one value per row; ``with_error``
+    returns the pair (values, error estimates).
     """
     if np.max(curve.residual) > 1e-6:
         raise NotHorizontalError(
@@ -134,7 +140,8 @@ def line_integral(rho, curve, with_error: bool = False):
     def simpson(step):
         if tau[0] == tau[-1]:
             return np.zeros(len(z))
-        return scipy.integrate.simpson(integrand[:, ::step], x=tau[::step], axis=-1)
+        h = (tau[-1] - tau[0]) / (tau.size - 1)  # every curve grid is uniform
+        return scipy.integrate.simpson(integrand[:, ::step], dx=step * h, axis=-1)
 
     full = simpson(1)
     out = (full, np.abs(full - simpson(2)) / 15.0) if with_error else (full,)
@@ -191,21 +198,31 @@ def quasiradial_family(ring, n_beta: int = 64, n_phi: int = 64,
     return quasiradial(ring, *(v.ravel() for v in np.meshgrid(betas, phis, indexing="ij")), n)
 
 
-def _random_draws(seed: int):
-    """(c, d, phase, center, phi0) of one random curve, from its own Philox stream."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _random_draws(seeds):
+    """(c, d, phase, center, phi0) of the random curves of ``seeds``: (count,
+    N_MODES) arrays and two vectors. Each curve takes its uniform deviates from
+    its own Philox stream in one call, scaled as Generator.uniform scales them."""
+    u = np.array([np.random.Generator(np.random.Philox(key=s)).random(3 * N_MODES + 4)
+                  for s in seeds])
+    used = 0
+
+    def uniform(low, high, size=1):  # the next ``size`` deviates of every curve
+        nonlocal used
+        used += size
+        return low + (high - low) * u[:, used - size:used]
+
     j = np.arange(1, N_MODES + 1)
     # strictly increasing xi warp: m(0)=0, m(1)=1, m' >= 1 - amp > 0
-    c_raw = rng.uniform(-1.0, 1.0, N_MODES)
-    amp = 0.8 * rng.uniform(0.2, 1.0)
-    c = amp * c_raw / np.sum(np.abs(c_raw) * math.pi * j)
+    c_raw = uniform(-1.0, 1.0, N_MODES)
+    amp = 0.8 * uniform(0.2, 1.0)
+    c = amp * c_raw / np.sum(np.abs(c_raw) * math.pi * j, axis=1, keepdims=True)
     # beta path inside [pi/2 + margin, 3pi/2 - margin]
-    center = math.pi + rng.uniform(-0.3, 0.3)
-    d_raw = rng.uniform(-1.0, 1.0, N_MODES)
-    phase = rng.uniform(0.0, 2.0 * math.pi, N_MODES)
-    b_max = (math.pi / 2 - BAND_MARGIN) - abs(center - math.pi) - 0.05
-    d = b_max * rng.uniform(0.3, 1.0) * d_raw / np.sum(np.abs(d_raw))
-    return c, d, phase, center, rng.uniform(0.0, 2.0 * math.pi)
+    center = math.pi + uniform(-0.3, 0.3)
+    d_raw = uniform(-1.0, 1.0, N_MODES)
+    phase = uniform(0.0, 2.0 * math.pi, N_MODES)
+    b_max = (math.pi / 2 - BAND_MARGIN) - np.abs(center - math.pi) - 0.05
+    d = b_max * uniform(0.3, 1.0) * d_raw / np.sum(np.abs(d_raw), axis=1, keepdims=True)
+    return c, d, phase, center[:, 0], uniform(0.0, 2.0 * math.pi)[:, 0]
 
 
 def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
@@ -221,7 +238,7 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
     seeds = np.atleast_1d(seed)
     if seeds.ndim != 1 or not seeds.size:
         raise ValueError(f"need one seed or a 1-D array of seeds, got {seed!r}")
-    c, d, phase, center, phi0 = map(np.array, zip(*map(_random_draws, seeds.tolist())))
+    c, d, phase, center, phi0 = _random_draws(seeds.tolist())
     la = math.log(ring.a)
     span = math.log(ring.b) - la
     j = np.arange(1, N_MODES + 1)[:, None]
@@ -230,19 +247,23 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
     tau = np.linspace(0.0, 1.0, REFINE * n + 1)
     jt = math.pi * np.outer(j, tau)
     sin_jt, cos_jt = np.sin(jt), np.cos(jt)
+    # d sin(jt + phase) = (d cos phase) sin jt + (d sin phase) cos jt
+    d_cos, d_sin = d * np.cos(phase), d * np.sin(phase)
     kinds = dict(z=complex, t=float, dz=complex, dt=float, **dict.fromkeys(TILDE, float))
     cols = {name: np.empty((seeds.size, n + 1), dtype=kind) for name, kind in kinds.items()}
     for k in _row_chunks(seeds.size, tau.size):
-        ck, dk, arg = c[k, :, None], d[k, :, None], jt + phase[k, :, None]
-        xi = la + span * (tau + np.sum(ck * sin_jt, axis=1))
+        ck, dc, ds = c[k, :, None], d_cos[k, :, None], d_sin[k, :, None]
+        # xi is needed on the kept samples only; the rest on the fine grid
+        xi = la + span * (tau[::REFINE] + np.sum(ck * sin_jt[:, ::REFINE], axis=1))
         dxi = span * (1.0 + np.sum(ck * math.pi * j * cos_jt, axis=1))
-        beta = center[k, None] + np.sum(dk * np.sin(arg), axis=1)
-        dbeta = np.sum(dk * math.pi * j * np.cos(arg), axis=1)
+        beta = center[k, None] + np.sum(dc * sin_jt + ds * cos_jt, axis=1)
+        dbeta = np.sum(dc * math.pi * j * cos_jt - ds * math.pi * j * sin_jt, axis=1)
         ps, dps = revcoords.pstar_pair(ring.profile, beta)
         dphi = revcoords.horizontality_rhs(ring.profile, beta, dxi, dbeta, pstar=(ps, dps))
-        phi = phi0[k, None] + scipy.integrate.cumulative_simpson(dphi, x=tau, initial=0.0)
+        phi = phi0[k, None] + scipy.integrate.cumulative_simpson(
+            dphi, dx=1.0 / (REFINE * n), initial=0.0)
         sel = (slice(None), slice(None, None, REFINE))
-        part = dict(xi=xi[sel], beta=beta[sel], phi=phi[sel], dxi=dxi[sel], dbeta=dbeta[sel],
+        part = dict(xi=xi, beta=beta[sel], phi=phi[sel], dxi=dxi[sel], dbeta=dbeta[sel],
                     dphi=dphi[sel])
         part.update(zip(("z", "t", "dz", "dt"), _ambient(
             part["xi"], part["phi"], part["dxi"], part["dbeta"], part["dphi"], ps[sel], dps[sel])))

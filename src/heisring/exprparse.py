@@ -23,6 +23,8 @@ import math
 import re
 import warnings
 
+import numpy as np
+
 from . import autodiff as ad
 
 
@@ -30,6 +32,10 @@ class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+def _has_s(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(node))
 
 
 def _parse(text: str, domain: bool = False):
@@ -59,8 +65,7 @@ def _parse(text: str, domain: bool = False):
             continue
         i, j = node.col_offset, node.end_col_offset
         match node:
-            case ast.BinOp(op=ast.Pow(), right=p) if any(
-                    isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(p)):
+            case ast.BinOp(op=ast.Pow(), right=p) if _has_s(p):
                 raise ParseError("exponent must not depend on s", 0)
             case (ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow())
                   | ast.UnaryOp(op=ast.USub()) | ast.Name()):
@@ -111,11 +116,37 @@ def evaluate(node, env: dict):
     return left / right
 
 
+def _constant(node, params: dict, statement: str, rhs: str) -> float:
+    """Value of the s-free tree ``node`` of ``rhs``, the right-hand side of
+    ``statement``; a ParseError naming both unless it is a finite number."""
+    try:
+        with np.errstate(all="ignore"):
+            value = evaluate(node, dict(params))
+    except (OverflowError, ZeroDivisionError):  # Python float arithmetic raises
+        value = math.nan
+    if isinstance(value, complex) or not math.isfinite(value):  # (-8)^(1/3) is complex
+        raise ParseError(f"{rhs[node.col_offset:node.end_col_offset]!r} in statement "
+                         f"{statement!r} is not a finite real number", node.col_offset)
+    return float(value)
+
+
+def _check_constants(node, params: dict, statement: str, rhs: str):
+    """Evaluate every largest s-free subtree of ``node`` with _constant."""
+    if not _has_s(node):
+        _constant(node, params, statement, rhs)
+        return
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.expr) and child is not getattr(node, "func", None):
+            _check_constants(child, params, statement, rhs)
+
+
 def parse_profile_source(text: str):
     """Parse a profile definition file.
 
     Returns (f_ast, g_ast, (lo, hi), params). Raises ParseError on syntax
-    errors, missing statements or a malformed domain.
+    errors, missing statements, a malformed domain, or a constant (a
+    parameter, a domain end or an s-free part of f or g) that is not a finite
+    number; the last names its statement.
     """
     params: dict[str, float] = {"pi": math.pi}
     f_ast = g_ast = domain = None
@@ -126,24 +157,26 @@ def parse_profile_source(text: str):
             name = head.strip()
             if not name.isidentifier() or not rhs.strip():
                 raise ParseError(f"bad param statement {line!r}", 0)
-            params[name] = float(evaluate(parse_expression(rhs), dict(params)))
+            params[name] = _constant(parse_expression(rhs), params, line, rhs)
             continue
         head, eq, rhs = line.partition("=")
         name = head.strip()
         if not eq or not rhs.strip():
             raise ParseError(f"bad statement {line!r}", 0)
         if name == "domain":
-            lo, hi = (float(evaluate(e, dict(params))) for e in _parse(rhs, domain=True).elts)
+            lo, hi = (_constant(e, params, line, rhs) for e in _parse(rhs, domain=True).elts)
             if not lo < hi:
                 raise ParseError(f"empty domain ({lo}, {hi})", 0)
             domain = (lo, hi)
         elif name == "f":
-            f_ast = parse_expression(rhs)
+            f_ast, f_line = parse_expression(rhs), (line, rhs)
         elif name == "g":
-            g_ast = parse_expression(rhs)
+            g_ast, g_line = parse_expression(rhs), (line, rhs)
         else:
             raise ParseError(f"unknown statement {name!r}", 0)
     if f_ast is None or g_ast is None or domain is None:
         missing = [n for n, v in (("f", f_ast), ("g", g_ast), ("domain", domain)) if v is None]
         raise ParseError(f"missing statements: {', '.join(missing)}", 0)
+    _check_constants(f_ast, params, *f_line)  # parameters may follow f and g
+    _check_constants(g_ast, params, *g_line)
     return f_ast, g_ast, domain, params

@@ -42,6 +42,23 @@ def test_validate_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("source, message", [
+    ("f = 2*sin(s/2)\ng = 2*sin(s) - 2*s + 2*pi\ndomain = (0, 2*pi)\nh = 2",
+     "unknown statement 'h'"),
+    ("param a = 10^400\nf = a*sin(s); g = 2*sin(s) - 2*s + 2*pi; domain = (0, 2*pi)",
+     "'10^400' in statement 'param a = 10^400' is not a finite real number"),
+    ("f = 2*sin(s/2) + 1/0; g = 2*sin(s) - 2*s + 2*pi; domain = (0, 2*pi)",
+     "'1/0' in statement 'f = 2*sin(s/2) + 1/0' is not a finite real number"),
+], ids=["unknown-statement", "overflow", "division-by-zero"])
+def test_malformed_profile_file_is_a_usage_error(tmp_path, capsys, source, message):
+    prof = tmp_path / "bad.prof"
+    prof.write_text(source)
+    for cmd in (["validate"], ["modulus", "--a", "1", "--b", "2"]):
+        code, out, err = run(capsys, *cmd, "--profile", str(prof))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot parse profile file {prof}: ") and message in err
+
+
 def test_validate_profile_and_surface_conflict(capsys):
     code, _, err = run(capsys, "validate", "--surface", "koranyi",
                        "--profile", "x.prof")

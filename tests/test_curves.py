@@ -231,12 +231,12 @@ def test_quasiradial_family_rows_equal_single_curves(surface_ring):
             assert _same(getattr(row, name), getattr(solo, name)), (i, name)
 
 
-# min and mean of 300 random curves (seed0=0, n=256), before the families
-# became arrays; any change in the generators or the line integral shows here
+# min and mean of 300 random curves (seed0=0, n=256); any change in the
+# generators or the line integral shows here
 ADMISSIBILITY_300 = {
     "koranyi": ("0x1.22020a40d2baep+0", "0x1.1adb6accff9b1p+1"),
-    "bubble": ("0x1.2864151506c06p+0", "0x1.1e45d78c95ba3p+1"),
-    "cc": ("0x1.1becba807f0d6p+0", "0x1.1f8b3c0916cb5p+1"),
+    "bubble": ("0x1.2864151506c05p+0", "0x1.1e45d78c95ba3p+1"),
+    "cc": ("0x1.1becba807f0d5p+0", "0x1.1f8b3c0916cb5p+1"),
 }
 
 
@@ -254,6 +254,57 @@ def test_random_family_phase_matches_refined_integration(monkeypatch, surface_ri
     monkeypatch.setattr(cv, "REFINE", 16)
     ref = cv.random_family(ring, 300, seed0=0, n=256)
     assert np.max(np.abs(fam.phi - ref.phi)) < 2e-8
+
+
+# float.hex of (c, d, phase, center, phi0), recorded when each curve drew its
+# parameters with its own sequence of Generator.uniform calls
+DRAWS = {
+    0: (["-0x1.f90b6ef1442abp-6", "-0x1.0b3acb8162553p-6", "-0x1.91c5df7e34286p-6",
+         "0x1.0a6912755cd64p-8"],
+        ["0x1.82e33eed5d2b7p-2", "0x1.a52130c1c41d2p-2", "-0x1.aa93ecec112a7p-3",
+         "-0x1.0835979db1eccp-2"],
+        ["0x1.1e320e95dab6ep+2", "0x1.a646f89ada959p-1", "0x1.cc653ed8acd96p+1",
+         "0x1.9a2b1e46dc6e0p+0"],
+        "0x1.810b417c086d8p+1", "0x1.31bf40f461772p+2"),
+    1: (["-0x1.8cd1660b7c5fep-7", "0x1.6037e77aef52bp-6", "-0x1.5b537b46a34c4p-6",
+         "-0x1.d99ce0d184b04p-6"],
+        ["0x1.4c56ed8f3c21fp-3", "-0x1.5810535549ad5p-3", "-0x1.f196b0a7c780ep-5",
+         "-0x1.c0e559c4bfc9cp-3"],
+        ["0x1.a5197dc924f21p+0", "0x1.49a536a73cc19p+2", "0x1.284e2dc57c76dp+2",
+         "0x1.e3bff2a69757fp+1"],
+        "0x1.6fb8fafc29aa1p+1", "0x1.2740ae207a441p+1"),
+    2703: (["-0x1.0bf2f03a7a928p-8", "0x1.1d7967386cd13p-7", "-0x1.e414afe74d001p-8",
+            "-0x1.6050277616685p-7"],
+           ["-0x1.7a7e6dfb45c74p-1", "-0x1.941057a4dab4ep-3", "0x1.96d9b528cf897p-3",
+            "0x1.bd2e48a18ec7ep-8"],
+           ["0x1.5203dbd200f60p+2", "0x1.02c9fc7d91420p+1", "0x1.cb8516f23e1e0p-3",
+            "0x1.f76fd411f10b8p+1"],
+           "0x1.7065788b0c060p+1", "0x1.1fee1e5564bcbp-1"),
+    10 ** 6: (["0x1.0be0b23eb5f75p-7", "0x1.44c74b0478364p-7", "0x1.e041705c2f6bep-8",
+               "-0x1.3a67c7937ec12p-8"],
+              ["0x1.5865c0354f1b8p-2", "0x1.6338ecac29e99p-2", "-0x1.1dfbd0ed9b8cep-2",
+               "-0x1.4ebda67a026dfp-4"],
+              ["0x1.2a56bbda59e9bp+2", "0x1.64d36ba86940fp+2", "0x1.591d6baec8dfep+1",
+               "0x1.8492d4d9c69b0p+0"],
+              "0x1.768ffa36058ccp+1", "0x1.b76ea49981672p-3"),
+}
+
+
+def test_random_draws_are_pinned():
+    c, d, phase, center, phi0 = cv._random_draws(list(DRAWS))
+    for i, want in enumerate(DRAWS.values()):
+        got = tuple([v.hex() for v in a[i]] for a in (c, d, phase))
+        assert got + (center[i].hex(), phi0[i].hex()) == want
+
+
+def test_from_samples_needs_a_uniform_grid():
+    curve = cv.cc_lift(1.5, 1.3, n=16)
+    samples = (curve.z, curve.t, curve.dz, curve.dt)
+    for tau in (curve.tau + 1e-9 * np.arange(17) ** 2, np.geomspace(0.1, 1.3, 17)):
+        with pytest.raises(ValueError, match="uniform"):
+            cv.HorizontalCurve.from_samples(tau, *samples)
+    rounded = curve.tau * (1.0 + 1e-15 * (-1.0) ** np.arange(17))  # rounding-level deviations
+    assert cv.HorizontalCurve.from_samples(rounded, *samples).residual == curve.residual
 
 
 def test_random_family_needs_a_curve():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heisring import profiles
-from heisring.profiles import (BETA_HI, BETA_LO, DomainError, ProfileCurve,
+from heisring.profiles import (BETA_HI, BETA_LO, DomainError, EvaluationError, ProfileCurve,
                                ReparamError, arg_band, arg_rate, catalog,
                                endpoint_limit, koranyi_image, parse_profile,
                                reparam_by_argument, validate)
@@ -132,6 +132,50 @@ def test_cc_series_window_matches_closed_form():
         rel=1e-8)
 
 
+# k, then f, fd, fdd, g, gd, gdd of cc_sphere at R = 1, from mpmath at 50
+# digits: f = S(k/2), fd = S'(k/2)/2, fdd = S''(k/2)/4, g = 2 G(k), gd = 2 G'(k),
+# gdd = 2 G''(k), for S(x) = sin(x)/x and G(y) = (sin(y) - y)/y^2. The points
+# lie on both sides of |k| = 0.1 and 1.5 (the closed forms miss the bound at
+# 0.5 and 1.05), near the zero of G' at pi and near the zero of S'' at -4.16.
+CC_REFERENCE = [
+    (0.001, 0.9999999583333339, -8.333333125000001e-05, -0.08333332708333342,
+     -0.00033333331666666707, -0.33333328333333534, 9.99999920634923e-05),
+    (-0.1, 0.9995833854135666, 0.008331250186003294, -0.08327084263332578,
+     0.03331667063436954, -0.332833531707456, -0.009992065806517592),
+    (0.5, 0.9896158370180917, -0.04140683061489387, -0.08177663679494745,
+     -0.16459569116637598, -0.32095674021151427, 0.04901514218949822),
+    (-0.8, 0.9735458557716262, 0.06560607721092644, -0.07937127091559047,
+     0.2582622159389914, -0.30213599344262965, -0.07601160796148758),
+    (1.05, 0.9546914374739006, -0.08511190081043751, -0.07655495306287992,
+     -0.33120503293602377, -0.28056901138403273, 0.09610291382943426),
+    (1.4999999999999998, 0.9088516800311123, -0.11810854077152755, -0.06973486564574131,
+     -0.4466711230186182, -0.2304498789372175, 0.12491179842330336),
+    (1.5, 0.9088516800311123, -0.11810854077152756, -0.06973486564574131,
+     -0.4466711230186183, -0.23044987893721747, 0.12491179842330337),
+    (3.1405926535897932, 0.6368223996556651, -0.20261220408484448, -0.030177593780581834,
+     -0.6366197078572242, -0.00012902800075716917, 0.12904985620121331),
+    (3.142592653589793, 0.6364171149306925, -0.20267250169451861, -0.030120013805428926,
+     -0.6366197078718046, 0.0001289842595528699, 0.128962373797798),
+    (-4.16, 0.41977547091707523, 0.21809076280082562, -9.253945964110487e-05,
+     0.5791504947456978, 0.10222629187485632, -0.06701890108201597),
+    (-6.2, 0.013413116913964674, 0.16331423664310388, 0.049328732591864925,
+     0.3269037150269249, 0.10527289959366033, 0.0465864119207579),
+]
+
+
+def test_cc_evaluator_matches_reference_values():
+    c = catalog("cc_sphere", 1.0)
+    k, *ref = np.array(CC_REFERENCE).T
+    got = c.eval(k)
+    # relative error, or absolute on a tenth of the largest value near a zero
+    scale = np.maximum(np.abs(ref), 0.1 * np.max(np.abs(ref), axis=1, keepdims=True))
+    assert np.max(np.abs(np.array(got) - ref) / scale) <= 1e-14
+    for i, one in enumerate(k):  # a 0-d parameter gives floats, equal to the batch's
+        values = c.eval(one)
+        assert all(type(v) is float for v in values)
+        assert values == tuple(v[i] for v in got)
+
+
 def test_catalog_rejects_bad_input():
     with pytest.raises(ValueError):
         catalog("torus", 1.0)
@@ -145,6 +189,38 @@ def test_eval_outside_domain():
         c.eval(-0.1)
     with pytest.raises(DomainError):
         c.eval(2 * math.pi)
+
+
+def _passthrough(bad=None, value=math.nan):
+    """A profile on (0, 1) whose six outputs are s itself, with ``value`` in
+    output ``bad``: a nan parameter gives nan outputs, as real evaluators do."""
+    def evaluator(s):
+        out = [s * 1.0 for _ in range(6)]
+        if bad is not None:
+            out[bad] = np.full_like(s, value)
+        return tuple(out)
+    return ProfileCurve("passthrough", (0.0, 1.0), evaluator)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_eval_exception_contract(batch):
+    def param(s, inside):  # a batch puts s between two points inside the domain
+        return np.array([inside, s, inside]) if batch else s
+
+    curves = [_passthrough()] + [catalog(name, 1.0) for name in profiles.CATALOG_NAMES]
+    for c in curves:
+        lo, hi = c.domain
+        inside = 0.5 * (lo + hi) + 0.1
+        for s in (lo, hi, lo - 0.5, hi + 0.5, -math.inf, math.inf):  # at and beyond the ends
+            with pytest.raises(DomainError):
+                c.eval(param(s, inside))
+        with pytest.raises(EvaluationError):  # nan is not outside the domain
+            c.eval(param(math.nan, inside))
+        assert np.all(np.isfinite(c.eval(param(inside, inside))))
+    for bad in range(6):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(EvaluationError):
+                _passthrough(bad, value).eval(param(0.75, 0.5))
 
 
 # -- validators ----------------------------------------------------------------
