@@ -39,6 +39,8 @@ def _resolve_profile(args):
     if args.profile is not None:
         if args.surface is not None:
             raise UsageError("--surface and --profile are mutually exclusive")
+        if args.R is not None:
+            raise UsageError("--R sets the radius of a catalog surface, not of --profile")
         try:
             with open(args.profile) as fh:
                 text = fh.read()
@@ -52,8 +54,10 @@ def _resolve_profile(args):
     if name not in SURFACE_ALIASES:
         raise UsageError(f"unknown surface {name!r}; choose from "
                          f"{sorted(SURFACE_ALIASES)}")
-    full = SURFACE_ALIASES[name]
-    return catalog(full, R=args.R), name
+    R = 1.0 if args.R is None else args.R
+    if not R > 0:
+        raise UsageError(f"--R must be positive, got {R:g}")
+    return catalog(SURFACE_ALIASES[name], R=R), name
 
 
 def _header(out=None, **settings):
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand accepts only the flags its cmd_* reads
     def add_profile(p):
         p.add_argument("--surface", choices=sorted(SURFACE_ALIASES))
-        p.add_argument("--R", type=float, default=1.0)
+        p.add_argument("--R", type=float, help="radius of a catalog surface (default 1)")
         p.add_argument("--profile", metavar="PATH")
 
     def add_patch(p):

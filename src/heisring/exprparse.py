@@ -13,12 +13,14 @@ log abs atan; decimal literals ``12``, ``007``, ``1.5``, ``1.``, ``.5`` with
 an optional exponent as in ``2e-3``. Anything else Python reads is a
 ParseError: ``**`` as written, ``+s``, ``//``, ``1_000``, ``0x10``, ``1j``,
 ``True``, comparisons, attributes, keyword arguments, and Python keywords as
-names. Positions in errors and in the returned trees index the user's text.
+names. Positions in errors and in the returned trees index the user's text;
+an error in a profile source gives the line and column of the file.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import math
 import re
 import warnings
@@ -29,9 +31,12 @@ from . import autodiff as ad
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+    """``pos`` indexes the parsed text, or with ``line`` (from 1) the line of a file."""
+
+    def __init__(self, message: str, pos: int, line: int | None = None):
+        where = f"position {pos}" if line is None else f"line {line}, column {pos + 1}"
+        super().__init__(f"{message} (at {where})")
+        self.message, self.pos, self.line = message, pos, line
 
 
 def _has_s(node) -> bool:
@@ -59,14 +64,14 @@ def _parse(text: str, domain: bool = False):
     comma = text.find(",")
     if domain and not (isinstance(tree, ast.Tuple) and len(tree.elts) == 2 and text.count(",") == 1
                        and text[:comma].count("(") - text[:comma].count(")") == 1):
-        raise ParseError(f"domain must be of the form (lo, hi): {text!r}", 0)
+        raise ParseError(f"domain must be of the form (lo, hi): {text.strip()!r}", cols[0])
     for node in ast.walk(tree):
         if not isinstance(node, ast.expr) or domain and node is tree:
             continue
         i, j = node.col_offset, node.end_col_offset
         match node:
             case ast.BinOp(op=ast.Pow(), right=p) if _has_s(p):
-                raise ParseError("exponent must not depend on s", 0)
+                raise ParseError("exponent must not depend on s", cols[p.col_offset])
             case (ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow())
                   | ast.UnaryOp(op=ast.USub()) | ast.Name()):
                 pass
@@ -140,43 +145,56 @@ def _check_constants(node, params: dict, statement: str, rhs: str):
             _check_constants(child, params, statement, rhs)
 
 
+@contextlib.contextmanager
+def _located(line: int, column: int):
+    """Give a ParseError raised inside a statement that starts at ``column`` of
+    ``line`` the position of its fault in the file."""
+    try:
+        yield
+    except ParseError as err:
+        raise ParseError(err.message, column + err.pos, line) from None
+
+
 def parse_profile_source(text: str):
     """Parse a profile definition file.
 
-    Returns (f_ast, g_ast, (lo, hi), params). Raises ParseError on syntax
-    errors, missing statements, a malformed domain, or a constant (a
-    parameter, a domain end or an s-free part of f or g) that is not a finite
-    number; the last names its statement.
+    Returns (f_ast, g_ast, (lo, hi), params). Raises ParseError, at the line
+    and column of the fault, on syntax errors, missing statements, a malformed
+    domain, or a constant (a parameter, a domain end or an s-free part of f or
+    g) that is not a finite number; the last names its statement.
     """
     params: dict[str, float] = {"pi": math.pi}
-    f_ast = g_ast = domain = None
-    for line in filter(None, (part.strip() for raw in text.splitlines()
-                              for part in raw.partition("#")[0].split(";"))):
-        if line.startswith("param "):
-            head, _, rhs = line[6:].partition("=")
-            name = head.strip()
-            if not name.isidentifier() or not rhs.strip():
-                raise ParseError(f"bad param statement {line!r}", 0)
-            params[name] = _constant(parse_expression(rhs), params, line, rhs)
-            continue
-        head, eq, rhs = line.partition("=")
-        name = head.strip()
-        if not eq or not rhs.strip():
-            raise ParseError(f"bad statement {line!r}", 0)
-        if name == "domain":
-            lo, hi = (_constant(e, params, line, rhs) for e in _parse(rhs, domain=True).elts)
-            if not lo < hi:
-                raise ParseError(f"empty domain ({lo}, {hi})", 0)
-            domain = (lo, hi)
-        elif name == "f":
-            f_ast, f_line = parse_expression(rhs), (line, rhs)
-        elif name == "g":
-            g_ast, g_line = parse_expression(rhs), (line, rhs)
-        else:
-            raise ParseError(f"unknown statement {name!r}", 0)
-    if f_ast is None or g_ast is None or domain is None:
-        missing = [n for n, v in (("f", f_ast), ("g", g_ast), ("domain", domain)) if v is None]
-        raise ParseError(f"missing statements: {', '.join(missing)}", 0)
-    _check_constants(f_ast, params, *f_line)  # parameters may follow f and g
-    _check_constants(g_ast, params, *g_line)
-    return f_ast, g_ast, domain, params
+    found = {}  # "f" and "g": (tree, where); "domain": (lo, hi)
+    lines = text.splitlines() or [""]
+    for number, raw in enumerate(lines, 1):
+        for m in re.finditer(r"[^;\s][^;]*", raw.partition("#")[0]):
+            line, column = m[0].rstrip(), m.start()
+            head, eq, rhs = line.partition("=")
+            rhs = " " * len(head + eq) + rhs  # positions in rhs index the statement
+            with _located(number, column):
+                if line.startswith("param "):
+                    name = head[6:].strip()
+                    if not name.isidentifier() or not rhs.strip():
+                        raise ParseError(f"bad param statement {line!r}", 0)
+                    params[name] = _constant(parse_expression(rhs), params, line, rhs)
+                    continue
+                name = head.strip()
+                if not eq or not rhs.strip():
+                    raise ParseError(f"bad statement {line!r}", 0)
+                if name == "domain":
+                    lo, hi = (_constant(e, params, line, rhs)
+                              for e in _parse(rhs, domain=True).elts)
+                    if not lo < hi:
+                        raise ParseError(f"empty domain ({lo}, {hi})", 0)
+                    found[name] = (lo, hi)
+                elif name in ("f", "g"):
+                    found[name] = parse_expression(rhs), (number, column, line, rhs)
+                else:
+                    raise ParseError(f"unknown statement {name!r}", 0)
+    missing = [n for n in ("f", "g", "domain") if n not in found]
+    if missing:
+        raise ParseError(f"missing statements: {', '.join(missing)}", len(lines[-1]), len(lines))
+    for tree, (number, column, line, rhs) in (found["f"], found["g"]):
+        with _located(number, column):  # parameters may follow f and g
+            _check_constants(tree, params, line, rhs)
+    return found["f"][0], found["g"][0], found["domain"], params

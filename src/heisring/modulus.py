@@ -20,7 +20,7 @@ from . import curves as curves_mod
 from . import revcoords
 from .heis import HPoint
 from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, ValidationError,
-                       arg_band, clip_to_band, endpoint_limit, reparam_by_argument, validate)
+                       arg_band, clip_to_band, reparam_by_argument, validate)
 
 
 BRACKET_CELLS = 2 ** 12  # uniform beta cells of RevolutionRing.shell_bracket
@@ -44,10 +44,6 @@ class RevolutionRing:
     @property
     def log_ratio(self) -> float:
         return math.log(self.b / self.a)
-
-    @property
-    def box(self) -> revcoords.Box:
-        return revcoords.Box((math.log(self.a), math.log(self.b)))
 
     @cached_property
     def shell_bracket(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,17 +77,16 @@ def make_ring(curve: ProfileCurve, a: float, b: float,
     The ring only needs the Koranyi image to sweep the argument band
     monotonically with endpoints on the two halves of the imaginary axis, so
     the required checks are positivity of f with vanishing endpoint limits,
-    strict monotonicity of arg p*, and the endpoint signs of g. Interior
-    monotonicity of g itself is reported by ``validate`` but not needed here.
+    strict monotonicity of arg p*, and the endpoint signs of g, all read from
+    one ``validate`` report. Interior monotonicity of g itself is reported
+    there but not needed here.
     """
     base = curve.source if curve.by_argument and curve.source is not None else curve
     report = validate(base, grid_n=grid_n)
-    ga = endpoint_limit(base, "lo", 3)
-    gb = endpoint_limit(base, "hi", 3)
     failed = [name for name, ok in (
         ("A1", report.a1.passed),
         ("beta monotone", report.beta_monotone.passed),
-        ("g endpoint signs", ga > 0.0 and gb < 0.0),
+        ("g endpoint signs", report.g_signs),
     ) if not ok]
     if failed:
         raise ValidationError(
@@ -172,7 +167,7 @@ def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9) -> float:
         z, t = revcoords.phi_map_arrays(prof, xi, beta, math.pi)
         return rho0_values(ring, z, t) ** 4
 
-    return revcoords.integrate_over_box(prof, f, ring.box, tol=tol)
+    return revcoords.integrate_over_box(prof, f, (math.log(ring.a), math.log(ring.b)), tol=tol)
 
 
 MC_CHUNK = 2 ** 16  # points per rho0_values call; bounds the per-point working set

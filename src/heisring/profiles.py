@@ -45,7 +45,6 @@ class ProfileCurve:
     name: str
     domain: tuple[float, float]
     evaluator: Callable = field(repr=False)
-    params: dict = field(default_factory=dict)
     by_argument: bool = False
     source: Optional["ProfileCurve"] = None
 
@@ -116,40 +115,26 @@ class ValidationReport:
     min_f: float
     min_neg_gdot: float
     min_beta_dot: float
-    grid_n: int
+    g_signs: bool  # g(lo+) > 0 > g(hi-), whether or not g is monotone inside
 
     @property
     def passed(self) -> bool:
         return self.a1.passed and self.a2.passed and self.beta_monotone.passed
 
 
-def _one_sided_limit(curve: ProfileCurve, endpoint: float, sign: int, index: int):
-    """Extrapolated endpoint limit of component ``index`` of the evaluator.
+def _endpoint_limits(curve: ProfileCurve):
+    """Extrapolated one-sided limits of the six evaluator components
+    (f, fd, fdd, g, gd, gdd), shape (6, 2): column 0 at lo, column 1 at hi.
 
-    Linear-in-offset extrapolation through the two smallest offsets; the
-    conditions are stated as limits, not values.
+    Linear-in-offset extrapolation through the offsets 1e-4 and 1e-5 of the
+    domain width, all four points in one evaluation; the conditions are
+    stated as limits, not values.
     """
     lo, hi = curve.domain
-    span = hi - lo
-    offsets = np.array([1e-3, 1e-4, 1e-5]) * span
-    svals = endpoint + sign * offsets
-    vals = np.array([curve.eval(s)[index] for s in svals])
-    h2, h3 = offsets[1], offsets[2]
-    v2, v3 = vals[1], vals[2]
+    h2, h3 = np.array([1e-4, 1e-5]) * (hi - lo)
+    v = np.array(curve.eval(np.array([lo + h2, hi - h2, lo + h3, hi - h3])))
+    v2, v3 = v[:, :2], v[:, 2:]
     return v3 + (v3 - v2) * h3 / (h2 - h3)
-
-
-def endpoint_limit(curve: ProfileCurve, side: str, index: int) -> float:
-    """Extrapolated one-sided limit of evaluator component ``index``.
-
-    ``side`` is "lo" or "hi"; components are ordered (f, fd, fdd, g, gd, gdd).
-    """
-    lo, hi = curve.domain
-    if side == "lo":
-        return float(_one_sided_limit(curve, lo, +1, index))
-    if side == "hi":
-        return float(_one_sided_limit(curve, hi, -1, index))
-    raise ValueError(f"side must be 'lo' or 'hi', got {side!r}")
 
 
 def _refined_interior_touch(curve: ProfileCurve, grid, f, tol: float):
@@ -181,6 +166,7 @@ def validate(curve: ProfileCurve, grid_n: int = 4096) -> ValidationReport:
     values = curve.eval(grid)
     f, _, _, _, gd, _ = values
     bdot = arg_rate(*_image(values))
+    (fa, fb), _, _, (ga, gb), _, _ = _endpoint_limits(curve)
 
     scale_f = max(1.0, float(np.max(np.abs(f))))
 
@@ -194,24 +180,19 @@ def validate(curve: ProfileCurve, grid_n: int = 4096) -> ValidationReport:
         a1 = CheckResult(False, float(grid[bad[0]]), "f <= 0 in the interior")
     elif touch is not None:
         a1 = CheckResult(False, touch, "f touches zero in the interior")
-    else:
-        fa = _one_sided_limit(curve, lo, +1, 0)
-        fb = _one_sided_limit(curve, hi, -1, 0)
-        if abs(fa) > 1e-2 * scale_f or abs(fb) > 1e-2 * scale_f:
-            a1 = CheckResult(False, lo if abs(fa) > abs(fb) else hi,
-                             "f does not vanish at an endpoint")
+    elif abs(fa) > 1e-2 * scale_f or abs(fb) > 1e-2 * scale_f:
+        a1 = CheckResult(False, lo if abs(fa) > abs(fb) else hi,
+                         "f does not vanish at an endpoint")
 
     # (A2): g strictly decreasing, g(lo+) > 0 > g(hi-).
     a2 = CheckResult(True)
+    g_signs = bool(ga > 0.0 and gb < 0.0)
     bad = np.flatnonzero(gd >= 0.0)
     if bad.size:
         a2 = CheckResult(False, float(grid[bad[0]]), "g is not decreasing")
-    else:
-        ga = _one_sided_limit(curve, lo, +1, 3)
-        gb = _one_sided_limit(curve, hi, -1, 3)
-        if not (ga > 0.0 and gb < 0.0):
-            a2 = CheckResult(False, lo if ga <= 0 else hi,
-                             "endpoint limits of g have the wrong signs")
+    elif not g_signs:
+        a2 = CheckResult(False, lo if ga <= 0 else hi,
+                         "endpoint limits of g have the wrong signs")
 
     # beta strictly increasing.
     beta_mono = CheckResult(True)
@@ -227,7 +208,7 @@ def validate(curve: ProfileCurve, grid_n: int = 4096) -> ValidationReport:
         min_f=float(np.min(f)),
         min_neg_gdot=float(np.min(-gd)),
         min_beta_dot=float(np.min(bdot)),
-        grid_n=grid_n,
+        g_signs=g_signs,
     )
 
 
@@ -331,7 +312,6 @@ def reparam_by_argument(curve: ProfileCurve) -> ProfileCurve:
         name=f"{curve.name} (by argument)",
         domain=(BETA_LO, BETA_HI),
         evaluator=evaluator,
-        params=dict(curve.params),
         by_argument=True,
         source=curve,
     )
@@ -354,8 +334,7 @@ def _koranyi_sphere(R: float) -> ProfileCurve:
         gdd = -R * R * sb
         return f, fd, fdd, g, gd, gdd
 
-    return ProfileCurve("koranyi_sphere", (BETA_LO, BETA_HI), evaluator,
-                        params={"R": R}, by_argument=True)
+    return ProfileCurve("koranyi_sphere", (BETA_LO, BETA_HI), evaluator, by_argument=True)
 
 
 def _bubble_set(R: float) -> ProfileCurve:
@@ -368,8 +347,7 @@ def _bubble_set(R: float) -> ProfileCurve:
         gdd = -2.0 * np.sin(s / R)
         return f, fd, fdd, g, gd, gdd
 
-    return ProfileCurve("bubble_set", (0.0, 2.0 * math.pi * R), evaluator,
-                        params={"R": R})
+    return ProfileCurve("bubble_set", (0.0, 2.0 * math.pi * R), evaluator)
 
 
 def _cc_series():
@@ -428,8 +406,7 @@ def _cc_sphere(R: float) -> ProfileCurve:
         return (R * s, (R * R / 2.0) * s1, (R ** 3 / 4.0) * s2,
                 2.0 * R * R * g, 2.0 * R ** 3 * g1, 2.0 * R ** 4 * g2)
 
-    return ProfileCurve("cc_sphere", (-2.0 * math.pi / R, 2.0 * math.pi / R),
-                        evaluator, params={"R": R})
+    return ProfileCurve("cc_sphere", (-2.0 * math.pi / R, 2.0 * math.pi / R), evaluator)
 
 
 _CATALOG = {
@@ -470,5 +447,4 @@ def parse_profile(text: str, name: str = "user profile") -> ProfileCurve:
         gv = zero + exprparse.evaluate(g_ast, env)
         return fv.val, fv.d1, fv.d2, gv.val, gv.d1, gv.d2
 
-    return ProfileCurve(name, domain, evaluator,
-                        params={k: v for k, v in params.items() if k != "pi"})
+    return ProfileCurve(name, domain, evaluator)

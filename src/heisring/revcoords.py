@@ -29,30 +29,18 @@ class RevPoint:
     phi: float
 
 
-@dataclass(frozen=True)
-class Box:
-    xi_range: tuple[float, float]
-
-    def __post_init__(self):
-        if not self.xi_range[0] < self.xi_range[1]:
-            raise ValueError(f"empty xi range {self.xi_range}")
-
-
 class IntegrationError(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
 
-def _require_by_argument(curve: ProfileCurve):
+def pstar_pair(curve: ProfileCurve, beta):
+    """(p*(beta), dp*/dbeta) for a by-argument profile; every map of this module
+    that evaluates p* rejects any other profile here."""
     if not curve.by_argument:
         raise ValueError(
             f"profile {curve.name!r} is not parametrized by argument; "
             "call reparam_by_argument first"
         )
-
-
-def pstar_pair(curve: ProfileCurve, beta):
-    """(p*(beta), dp*/dbeta) for a by-argument profile."""
-    _require_by_argument(curve)
     return koranyi_image(curve, beta)
 
 
@@ -66,7 +54,6 @@ def phi_map_arrays(curve: ProfileCurve, xi, beta, phi):
 
 def phi_inv_arrays(curve: ProfileCurve, z, t):
     """Vectorized inverse map; returns (xi, beta, phi). Requires z != 0."""
-    _require_by_argument(curve)
     z = np.asarray(z, dtype=complex)
     t = np.asarray(t, dtype=float)
     if np.any(z == 0):
@@ -103,9 +90,10 @@ def horizontal_speed(curve: ProfileCurve, xi, beta, dxi, dbeta):
         np.abs(ps * np.asarray(dxi) + 0.5 * dps * np.asarray(dbeta))
 
 
-def integrate_over_box(curve: ProfileCurve, f, box: Box, tol: float = 1e-9) -> float:
+def integrate_over_box(curve: ProfileCurve, f, xi_range: tuple[float, float],
+                       tol: float = 1e-9) -> float:
     """Integral of a phi-independent f(xi, beta) against the coordinate Jacobian
-    over ``box`` and the full turn in phi.
+    over ``xi_range`` x the argument band x the full turn in phi.
 
     One adaptive product Gauss-Kronrod (GK21) cubature over (xi, beta); the
     phi factor 2 pi is exact. ``f`` receives whole node arrays; its result is
@@ -115,16 +103,18 @@ def integrate_over_box(curve: ProfileCurve, f, box: Box, tol: float = 1e-9) -> f
 
     Raises IntegrationError when the cubature has not converged to relative
     tolerance ``tol`` after MAX_SUBDIVISIONS splits, or when its one error
-    estimate for the whole integral exceeds max(10 tol |result|, 1e-13).
+    estimate for the whole integral exceeds max(10 tol |result|, 1e-13), and
+    ValueError when ``xi_range`` is empty.
     """
-    _require_by_argument(curve)
+    if not xi_range[0] < xi_range[1]:
+        raise ValueError(f"empty xi range {xi_range}")
 
     def integrand(x):
         xi, beta = x[:, 0], x[:, 1]
         return f(xi, beta) * jacobian(curve, xi, beta)
 
-    res = scipy.integrate.cubature(integrand, [box.xi_range[0], BETA_LO + EDGE_OFFSET],
-                                   [box.xi_range[1], BETA_HI - EDGE_OFFSET], rule="gk21",
+    res = scipy.integrate.cubature(integrand, [xi_range[0], BETA_LO + EDGE_OFFSET],
+                                   [xi_range[1], BETA_HI - EDGE_OFFSET], rule="gk21",
                                    rtol=tol, atol=0.0, max_subdivisions=MAX_SUBDIVISIONS)
     result, err = 2.0 * math.pi * float(res.estimate), 2.0 * math.pi * float(res.error)
     if res.status != "converged" or abs(err) > max(10.0 * tol * abs(result), 1e-13):

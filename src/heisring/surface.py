@@ -30,10 +30,6 @@ class SurfacePatch:
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def domain(self):
-        return self.profile.domain
-
 
 def patch_xyz(surface: SurfacePatch, s, phi):
     """Vectorized patch evaluation; returns (z, t) after dilation."""

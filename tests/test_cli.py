@@ -59,6 +59,27 @@ def test_malformed_profile_file_is_a_usage_error(tmp_path, capsys, source, messa
         assert err.startswith(f"error: cannot parse profile file {prof}: ") and message in err
 
 
+SUBCOMMANDS = [["validate"], ["modulus", "--a", "1", "--b", "2"], ["geometry"],
+               ["export-mesh"]]
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_radius_with_profile_file_is_a_usage_error(tmp_path, capsys, cmd):
+    prof = tmp_path / "bubble.prof"
+    prof.write_text("f = 2*sin(s/2); g = 2*sin(s) - 2*s + 2*pi; domain = (0, 2*pi)")
+    code, out, err = run(capsys, *cmd, "--profile", str(prof), "--R", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --R sets the radius of a catalog surface")
+
+
+@pytest.mark.parametrize("R", ["0", "-1", "nan"])
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_radius_must_be_positive(capsys, cmd, R):
+    code, out, err = run(capsys, *cmd, "--surface", "bubble", "--R", R)
+    assert (code, out) == (2, "")
+    assert err == f"error: --R must be positive, got {float(R):g}\n"
+
+
 def test_validate_profile_and_surface_conflict(capsys):
     code, _, err = run(capsys, "validate", "--surface", "koranyi",
                        "--profile", "x.prof")

@@ -113,6 +113,35 @@ def test_profile_source_empty_domain():
         exprparse.parse_profile_source("f = s; g = -s; domain = (1, 1)")
 
 
+BUBBLE_LINES = "f = 2*sin(s/2)\ng = 2*sin(s) - 2*s + 2*pi\n"
+
+
+@pytest.mark.parametrize("source, message, line, column", [
+    ("h = s", "unknown statement 'h'", 1, 1),
+    (BUBBLE_LINES, "missing statements: domain", 2, 26),
+    ("f = 2^s*sin(s)\ng = -s; domain = (0, 1)", "exponent must not depend on s", 1, 7),
+    ("domain = (0, 2*pi)\nf = s +\ng = -s", "invalid syntax", 2, 8),
+    ("f = 2*sin(s/2)\ndomain = (0, 2*pi)\ng = 2*sin(s) - bogus*s", "unknown identifier 'bogus'",
+     3, 16),
+    ("f = s; g = -s;  domain = (0, 1, 2)", "domain must be of the form", 1, 26),
+    ("param a = 2 # a; b\n  f = a*s ; g = -s + 1/0\ndomain = (0, 1)",
+     "'1/0' in statement 'g = -s + 1/0' is not a finite real number", 2, 22),
+    ("f = s\n\tg = -s; domain = (2, 1)", "empty domain (2.0, 1.0)", 2, 10),
+], ids=["statement", "missing", "exponent", "syntax", "identifier", "domain-form", "constant",
+        "empty-domain"])
+def test_profile_source_errors_give_line_and_column(source, message, line, column):
+    with pytest.raises(ParseError) as err:
+        exprparse.parse_profile_source(source)
+    assert message in err.value.message
+    assert str(err.value).endswith(f" (at line {line}, column {column})")
+
+
+def test_variable_exponent_position_is_the_exponent():
+    with pytest.raises(ParseError) as err:
+        parse_expression("1 + 2^(s + 1)")
+    assert err.value.pos == 7
+
+
 # -- the boundary of the language ------------------------------------------------
 
 

@@ -10,8 +10,9 @@ from heisring import heis
 from heisring import modulus as md
 from heisring import revcoords as rc
 from heisring.heis import HPoint
-from heisring.profiles import (BETA_HI, BETA_LO, EvaluationError, ValidationError,
-                               catalog, clip_to_band, parse_profile, reparam_by_argument)
+from heisring.profiles import (BETA_HI, BETA_LO, EvaluationError, ProfileCurve,
+                               ValidationError, catalog, clip_to_band, parse_profile,
+                               reparam_by_argument, validate)
 from heisring.revcoords import RevPoint
 
 RING = md.make_ring(catalog("koranyi_sphere", 1.0), 1.0, 2.0)
@@ -29,6 +30,44 @@ def test_make_ring_rejects_invalid_profile():
                            name="rising")
     with pytest.raises(ValidationError):
         md.make_ring(rising, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("name, source, failed", [
+    ("pinched", "f = sin(s)*sin(s); g = pi/2 - s; domain = (0, 2*pi)", "A1, beta monotone"),
+    ("rising", "f = sin(s); g = s - pi/2; domain = (0, pi)", "beta monotone, g endpoint signs"),
+    ("wobble", "f = sin(s) * (1 - 0.9*exp(-10*(s - 1.5)^2)); g = cos(s); domain = (0, pi)",
+     "beta monotone"),
+    ("lifted", "f = sin(s); g = cos(s) + 2; domain = (0, pi)", "beta monotone, g endpoint signs"),
+])
+def test_make_ring_names_the_failed_conditions(name, source, failed):
+    with pytest.raises(ValidationError) as err:
+        md.make_ring(parse_profile(source, name=name), 1.0, 2.0)
+    assert str(err.value) == f"profile {name!r} failed validation: {failed}"
+
+
+def test_make_ring_accepts_cc_with_non_monotone_g():
+    # cc fails A2 in the interior, and the report still records the endpoint
+    # signs the ring needs
+    report = validate(catalog("cc_sphere", 1.0))
+    assert not report.a2.passed and report.g_signs
+    assert RING_CC.profile.source.name == "cc_sphere"
+
+
+@pytest.mark.parametrize("name, calls", [("koranyi_sphere", 2), ("bubble_set", 3),
+                                         ("cc_sphere", 3)])
+def test_make_ring_evaluates_the_endpoints_once(name, calls):
+    # the interior grid, the four endpoint points and, unless the profile is
+    # by argument already, the seed of the inversion
+    src = catalog(name, 1.0)
+    sizes = []
+
+    def counting(s):
+        sizes.append(np.size(s))
+        return src.evaluator(s)
+
+    md.make_ring(ProfileCurve(src.name, src.domain, counting, by_argument=src.by_argument),
+                 1.0, 2.0)
+    assert len(sizes) == calls and sizes.count(4) == 1
 
 
 def test_membership_koranyi():

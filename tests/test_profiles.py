@@ -7,9 +7,8 @@ import pytest
 
 from heisring import profiles
 from heisring.profiles import (BETA_HI, BETA_LO, DomainError, EvaluationError, ProfileCurve,
-                               ReparamError, arg_band, arg_rate, catalog,
-                               endpoint_limit, koranyi_image, parse_profile,
-                               reparam_by_argument, validate)
+                               ReparamError, arg_band, arg_rate, catalog, koranyi_image,
+                               parse_profile, reparam_by_argument, validate)
 
 
 def fd_check(curve, s, h=1e-6):
@@ -79,10 +78,10 @@ def test_catalog_derivatives_match_finite_differences(name):
 def test_bubble_pole_limits():
     # endpoint t-limits of the bubble profile by direct extrapolation
     for R in (1.0, 0.7):
-        c = catalog("bubble_set", R)
-        assert endpoint_limit(c, "lo", 3) == pytest.approx(2 * math.pi * R * R, rel=1e-5)
-        assert endpoint_limit(c, "hi", 3) == pytest.approx(-2 * math.pi * R * R, rel=1e-5)
-        assert endpoint_limit(c, "lo", 0) == pytest.approx(0.0, abs=1e-6)
+        (fa, _), _, _, (ga, gb), _, _ = profiles._endpoint_limits(catalog("bubble_set", R))
+        assert ga == pytest.approx(2 * math.pi * R * R, rel=1e-5)
+        assert gb == pytest.approx(-2 * math.pi * R * R, rel=1e-5)
+        assert fa == pytest.approx(0.0, abs=1e-6)
 
 
 def test_bubble_midpoint_argument():
@@ -364,7 +363,7 @@ def test_reparam_native_points_per_point(name):
         count[0] += np.size(s)
         return src.evaluator(s)
 
-    rc = reparam_by_argument(ProfileCurve(src.name, src.domain, counting, src.params))
+    rc = reparam_by_argument(ProfileCurve(src.name, src.domain, counting))
     count[0] = 0
     beta = band_samples(10 ** 5, seed=13)
     rc.eval(beta)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from heisring import revcoords
 from heisring.profiles import BETA_HI, BETA_LO, catalog, reparam_by_argument
-from heisring.revcoords import Box
 
 KORANYI = catalog("koranyi_sphere", 1.0)
 BUBBLE = reparam_by_argument(catalog("bubble_set", 1.0))
@@ -117,9 +116,9 @@ def test_horizontal_speed_matches_ambient_finite_differences():
         assert speed == pytest.approx(abs(complex(dz)), rel=1e-5)
 
 
-def test_box_validation():
-    with pytest.raises(ValueError):
-        Box((1.0, 1.0))
+def test_integrate_rejects_empty_xi_range():
+    with pytest.raises(ValueError, match="empty xi range"):
+        revcoords.integrate_over_box(KORANYI, lambda *_: 1.0, (1.0, 1.0))
 
 
 def test_integrate_constant_against_jacobian():
@@ -127,8 +126,7 @@ def test_integrate_constant_against_jacobian():
     # (e^{4 xi1} - e^{4 xi0})/4 * 2 pi * int |p*|^2 dbeta
     from scipy import integrate as si
 
-    box = Box((0.0, 0.5))
-    val = revcoords.integrate_over_box(KORANYI, lambda *_: 1.0, box)
+    val = revcoords.integrate_over_box(KORANYI, lambda *_: 1.0, (0.0, 0.5))
     radial, _ = si.quad(lambda b: 1.0, BETA_LO, BETA_HI)  # |p*| = 1 for R = 1
     expected = (math.exp(2.0) - 1.0) / 4.0 * 2.0 * math.pi * radial
     assert val == pytest.approx(expected, rel=1e-9)
@@ -137,13 +135,13 @@ def test_integrate_constant_against_jacobian():
 def test_integrate_requires_by_argument():
     raw = catalog("bubble_set", 1.0)
     with pytest.raises(ValueError):
-        revcoords.integrate_over_box(raw, lambda *_: 1.0, Box((0.0, 1.0)))
+        revcoords.integrate_over_box(raw, lambda *_: 1.0, (0.0, 1.0))
 
 
 def test_integrate_bubble_constant_matches_nested_quad():
     # |p*|^2 behaves like (beta - pi/2)^(3/2) at the band edges of the bubble,
     # so the cubature must subdivide; the value is that of nested 1-D quad
-    val = revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, Box((0.0, 0.5)))
+    val = revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, (0.0, 0.5))
     assert val == pytest.approx(756.6894735213466, rel=1e-9)
 
 
@@ -151,5 +149,5 @@ def test_integrate_nonintegrable_raises_within_cap():
     with pytest.raises(revcoords.IntegrationError,
                        match=f"not_converged after {revcoords.MAX_SUBDIVISIONS} "):
         revcoords.integrate_over_box(
-            KORANYI, lambda xi, beta: 1.0 / np.abs(beta - 3.0), Box((0.0, 0.5)))
+            KORANYI, lambda xi, beta: 1.0 / np.abs(beta - 3.0), (0.0, 0.5))
 

@@ -131,6 +131,41 @@ def test_flow_curve_stays_on_surface():
     assert np.max(np.abs(curve.t - g)) < 1e-12
 
 
+def _cli_span(patch):
+    lo, hi = patch.profile.domain
+    return lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)
+
+
+def _phase_error(curve, phase):
+    """Largest |angle(z e^(-i phase))|: how far the curve's phase is from ``phase``."""
+    return float(np.max(np.abs(np.angle(curve.z * np.exp(-1j * phase)))))
+
+
+@pytest.mark.parametrize("name, rate", [("koranyi_sphere", lambda R: 0.5),
+                                        ("bubble_set", lambda R: 0.5 / R)])
+@pytest.mark.parametrize("R", [1.0, 0.7])
+@pytest.mark.parametrize("n", [16, 1024])
+def test_flow_phase_is_linear_on_koranyi_and_bubble(name, rate, R, n):
+    # the contact residual cannot see phi; here Im dp* / (2 Re p*) is constant
+    patch = SurfacePatch(catalog(name, R))
+    span = _cli_span(patch)
+    s0, phi0 = 0.4 * span[0] + 0.6 * span[1], 0.25
+    curve = sf.flow_curve(patch, s0, phi0, span, n=n)
+    assert _phase_error(curve, phi0 + rate(R) * (curve.tau - s0)) <= 1e-9
+
+
+def test_flow_phase_matches_quadrature_on_cc():
+    from scipy import integrate as si
+
+    span = _cli_span(CC)
+    s0, phi0 = 0.3, 0.25
+    curve = sf.flow_curve(CC, s0, phi0, span, n=64)
+    rate = lambda s: float(sf.flow_phase_rate(CC, s))
+    ref = phi0 + np.array([si.quad(rate, s0, s, epsabs=1e-13, epsrel=1e-13)[0]
+                           for s in curve.tau])
+    assert _phase_error(curve, ref) <= 1e-9
+
+
 def test_flow_span_must_contain_anchor():
     with pytest.raises(ValueError):
         sf.flow_curve(BUBBLE, 0.2, 0.0, (1.0, 5.0))
