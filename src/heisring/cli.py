@@ -17,7 +17,7 @@ from . import modulus as modulus_mod
 from . import surface as surface_mod
 from .curves import DEFAULT_RESOLUTION, FAMILY_RESOLUTION
 from .exprparse import ParseError
-from .profiles import ValidationError, catalog, parse_profile, validate
+from .profiles import GRID_MIN, ValidationError, catalog, parse_profile, validate
 
 SURFACE_ALIASES = {
     "koranyi": "koranyi_sphere",
@@ -71,7 +71,13 @@ def _print_table(rows):
         print(f"{k:<{width}}  {v}")
 
 
+def _require_grid(args):
+    if args.grid < GRID_MIN:
+        raise UsageError(f"--grid must be at least {GRID_MIN}, got {args.grid}")
+
+
 def cmd_validate(args) -> int:
+    _require_grid(args)
     curve, name = _resolve_profile(args)
     report = validate(curve, grid_n=args.grid)
     rows = [("surface", name)]
@@ -105,6 +111,7 @@ def cmd_validate(args) -> int:
 def cmd_modulus(args) -> int:
     if not (args.a > 0 and args.a < args.b):
         raise UsageError(f"need 0 < a < b, got a={args.a}, b={args.b}")
+    _require_grid(args)
     curve, name = _resolve_profile(args)
     ring = modulus_mod.make_ring(curve, args.a, args.b, grid_n=args.grid)
     report = modulus_mod.modulus_report(

@@ -102,9 +102,12 @@ class CurveFamily(_Samples):
         return len(self.residual)
 
     def __getitem__(self, i) -> HorizontalCurve:
-        tilde = {k: getattr(self, k)[i] for k in TILDE if getattr(self, k) is not None}
-        return HorizontalCurve(self.tau, self.z[i], self.t[i], self.dz[i], self.dt[i],
-                               float(self.residual[i]), **tilde)
+        # positional arguments in field order: the cheapest construction per row
+        ambient = (self.tau, self.z[i], self.t[i], self.dz[i], self.dt[i], float(self.residual[i]))
+        if self.xi is None:  # generated families carry all six tilde arrays or none
+            return HorizontalCurve(*ambient)
+        return HorizontalCurve(*ambient, self.xi[i], self.beta[i], self.phi[i], self.dxi[i],
+                               self.dbeta[i], self.dphi[i])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

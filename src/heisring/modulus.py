@@ -20,7 +20,7 @@ from . import curves as curves_mod
 from . import revcoords
 from .heis import HPoint
 from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, ValidationError,
-                       arg_band, clip_to_band, reparam_by_argument, validate)
+                       band_atan2, clip_to_band, reparam_by_argument, validate)
 
 
 BRACKET_CELLS = 2 ** 12  # uniform beta cells of RevolutionRing.shell_bracket
@@ -102,7 +102,7 @@ def _gauge_terms(z, t):
     r4 = az ** 4 + t * t
     if np.any(r4 == 0.0):
         raise ValueError("boundary ratio and rho0 are undefined at the group origin")
-    return az, r4, r4 ** 0.25, arg_band(-az ** 2 + 1j * t)
+    return az, r4, r4 ** 0.25, band_atan2(t, -az * az)
 
 
 def _ratio(ring: RevolutionRing, gauge, beta):
@@ -194,7 +194,8 @@ def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
     vals = np.empty(n)
     for i in range(0, n, MC_CHUNK):
         j = slice(i, i + MC_CHUNK)
-        vals[j] = rho0_values(ring, x[j] + 1j * y[j], t[j], closed=False) ** 4
+        sq = np.square(rho0_values(ring, x[j] + 1j * y[j], t[j], closed=False))
+        np.square(sq, out=vals[j])  # rho0^4 by two squarings, as np.power is slow on zeros
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
     return volume * mean, volume * stderr

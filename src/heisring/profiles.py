@@ -86,10 +86,16 @@ REPARAM_CLAMP = 1e-12  # the inversion's s stays this fraction of the domain ins
 BAND_MARGIN = 1e-3  # a random beta path stays this far inside the band
 
 
+def band_atan2(y, x):
+    """arctan2(y, x), the argument of x + iy, into (pi/2, 3pi/2]; valid for x <= 0."""
+    ang = np.arctan2(y, x)
+    return np.where(ang > 0, ang, ang + 2.0 * math.pi)
+
+
 def arg_band(w):
     """arg into (pi/2, 3pi/2]; valid for Re w <= 0."""
-    ang = np.angle(w)
-    return np.where(ang > 0, ang, ang + 2.0 * math.pi)
+    w = np.asarray(w)
+    return band_atan2(w.imag, w.real)
 
 
 def clip_to_band(beta):
@@ -152,6 +158,9 @@ def _refined_interior_touch(curve: ProfileCurve, grid, f, tol: float):
     return None
 
 
+GRID_MIN = 16  # fewest interior sample points validate accepts
+
+
 def validate(curve: ProfileCurve, grid_n: int = 4096) -> ValidationReport:
     """Check positivity of f, downward heading of g and monotonicity of beta.
 
@@ -159,8 +168,8 @@ def validate(curve: ProfileCurve, grid_n: int = 4096) -> ValidationReport:
     points plus extrapolated one-sided endpoint limits. Failures are reported
     with a witness parameter, not raised.
     """
-    if grid_n < 16:
-        raise ValueError("grid_n must be at least 16")
+    if grid_n < GRID_MIN:
+        raise ValueError(f"grid_n must be at least {GRID_MIN}")
     lo, hi = curve.domain
     grid = np.linspace(lo, hi, grid_n + 2)[1:-1]
     values = curve.eval(grid)
@@ -224,10 +233,65 @@ POLISH_TOL = 2e-15  # arg residual above which a converged point takes a polishi
 SEED_N = 8192  # cells of the monotone beta(s) sample that seeds the inversion
 
 
-def _arg_residual(values, beta):
-    """(arg p* - beta, d arg p*/ds) from the evaluator's six values."""
-    ps, dps = _image(values)
-    return arg_band(ps) - beta, arg_rate(ps, dps)
+def _seed_sample(curve: ProfileCurve):
+    """(s, beta(s), ds/dbeta) on the SEED_N + 1 nodes of the inversion's seed,
+    which run from REPARAM_CLAMP of the domain inside one end to as far inside
+    the other. Raises ReparamError unless beta(s) strictly increases there."""
+    lo, hi = curve.domain
+    eps = REPARAM_CLAMP * (hi - lo)
+    s = np.linspace(lo + eps, hi - eps, SEED_N + 1)
+    ps, dps = koranyi_image(curve, s)
+    beta = arg_band(ps)
+    if np.any(np.diff(beta) <= 0):
+        raise ReparamError(f"beta(s) is not strictly increasing for {curve.name!r}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return s, beta, 1.0 / arg_rate(ps, dps)
+
+
+def _cell_index(nodes):
+    """The map b -> np.searchsorted(nodes[1:-1], b, side="right"), for b in
+    [nodes[0], nodes[-1]] or nan, at O(1) work per point.
+
+    4 (nodes.size - 1) uniform buckets span the nodes. The bucket map is
+    monotone, so every inner node of a lower bucket lies below b and every
+    one of a higher bucket above it. With i the count of inner nodes in lower
+    buckets, a bucket holding at most one inner node settles b with one
+    compare against nodes[i + 1], the first inner node from that bucket on.
+    Points of a bucket holding more (where beta(s) is flat, next to a band
+    edge) take searchsorted, and so do those of the last bucket, where
+    np.fmin sends nan.
+    """
+    n_buckets = 4 * (nodes.size - 1)
+    scale = n_buckets / (nodes[-1] - nodes[0])
+
+    def bucket(b):
+        return np.fmin((b - nodes[0]) * scale, n_buckets - 1).astype(np.intp)
+
+    held = np.bincount(bucket(nodes[1:-1]), minlength=n_buckets)
+    below = (np.cumsum(held) - held).astype(np.int32)  # int32: half the memory of intp
+    crowded = held > 1
+    crowded[-1] = True
+
+    def index(b):
+        k = bucket(b)
+        i = below[k]
+        i += b >= nodes[i + 1]
+        fix = np.flatnonzero(crowded[k])
+        i[fix] = np.searchsorted(nodes[1:-1], b[fix], side="right")
+        return i
+
+    return index
+
+
+def _arg_terms(values, beta):
+    """(arg p* - beta, d arg p*/ds, f^2, Re dp*, |p*|^2) from the
+    evaluator's six values, in real arithmetic on p* = -f^2 + i g and
+    dp* = -2 f f' + i g'."""
+    f, fd, _, g, gd, _ = values
+    f2 = f * f
+    dre = -2.0 * f * fd
+    q = f2 * f2 + g * g
+    return band_atan2(g, -f2) - beta, (-f2 * gd - g * dre) / q, f2, dre, q
 
 
 def reparam_by_argument(curve: ProfileCurve) -> ProfileCurve:
@@ -235,48 +299,47 @@ def reparam_by_argument(curve: ProfileCurve) -> ProfileCurve:
 
     The inverse s(beta) is found by Newton iterations seeded from a cubic
     Hermite fit of s(beta) on SEED_N = 8192 cells of a monotone sample of
-    beta(s), with slopes ds/dbeta = 1 / arg_rate from the same sample. Each
-    seed is clipped into its own cell, so monotonicity still brackets the
-    root; a cell with a non-finite slope is seeded linearly. The first step
-    evaluates every seed, and most points stop there: 1.1-1.3 native
-    evaluations per point on the catalog profiles. Each later step evaluates
-    the source curve once, at the points whose arg residual is still above
-    REPARAM_TOL or that are still polishing. Targets are clipped to the
-    sampled range of beta(s), which the clamped s can reach. Derivatives come
-    from the inverse-function rule at each point's last evaluation, so every
-    output is a pure function of its own beta: a batch, its pieces and scalar
-    calls agree bit for bit.
+    beta(s), with slopes ds/dbeta = 1 / arg_rate from the same sample. A
+    point finds its cell through uniform buckets in beta (``_cell_index``,
+    searchsorted's index at O(1) work per point) and takes the cell's six
+    seed numbers in one gather. Each seed is clipped into its own cell, so
+    monotonicity still brackets the root; a cell with a non-finite slope is
+    seeded linearly. The first step evaluates every seed, and most points
+    stop there: 1.1-1.3 native evaluations per point on the catalog profiles.
+    Each later step evaluates the source curve once, at the points whose arg
+    residual is still above REPARAM_TOL or that are still polishing. Targets
+    are clipped to the sampled range of beta(s), which the clamped s can
+    reach. The residual, the rate d arg p*/ds and the parts of p* and dp*
+    they need are formed once per evaluation in real arithmetic and kept per
+    point, and the derivatives come from the inverse-function rule at each
+    point's last evaluation, so every output is a pure function of its own
+    beta: a batch, its pieces and scalar calls agree bit for bit.
     """
     if curve.by_argument:
         return curve
     lo, hi = curve.domain
     eps = REPARAM_CLAMP * (hi - lo)
-    s_grid = np.linspace(lo + eps, hi - eps, SEED_N + 1)
-    ps, dps = koranyi_image(curve, s_grid)
-    beta_grid = arg_band(ps)
+    s_grid, beta_grid, m = _seed_sample(curve)
     h = np.diff(beta_grid)
-    if np.any(h <= 0):
-        raise ReparamError(f"beta(s) is not strictly increasing for {curve.name!r}")
     # s(beta_i + x) ~ s_i + x (c1 + x (c2 + x c3)) on cell i
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = 1.0 / arg_rate(ps, dps)
         m0, m1 = m[:-1], m[1:]
         c1 = np.diff(s_grid) / h
         c2 = (3.0 * c1 - 2.0 * m0 - m1) / h
         c3 = (m0 + m1 - 2.0 * c1) / (h * h)
     cubic = np.isfinite(c2) & np.isfinite(c3)
-    c1 = np.where(cubic, m0, c1)
-    c2 = np.where(cubic, c2, 0.0)
-    c3 = np.where(cubic, c3, 0.0)
+    seed = np.array((beta_grid[:-1], s_grid[:-1], s_grid[1:], np.where(cubic, m0, c1),
+                     np.where(cubic, c2, 0.0), np.where(cubic, c3, 0.0)))  # a column per cell
+    cell = _cell_index(beta_grid)
 
     def evaluator(beta):
         b = np.clip(np.ravel(beta), beta_grid[0], beta_grid[-1])
-        i = np.searchsorted(beta_grid[1:-1], b, side="right")
-        x = b - beta_grid[i]
-        s = np.clip(s_grid[i] + x * (c1[i] + x * (c2[i] + x * c3[i])),
-                    s_grid[i], s_grid[i + 1])
+        b0, s0, s1, c1, c2, c3 = seed.take(cell(b), axis=1)
+        x = b - b0
+        s = np.clip(s0 + x * (c1 + x * (c2 + x * c3)), s0, s1)
         last = np.array(curve.eval(s))  # f ... gdd at each point's last step
-        resid, bdot = _arg_residual(last, b)
+        terms = _arg_terms(last, b)  # kept per point, like ``last``
+        resid, bdot = terms[:2]
 
         # Below REPARAM_TOL, a point above POLISH_TOL takes polishing steps
         # while each cuts its residual fourfold: one step in general, a few
@@ -289,7 +352,8 @@ def reparam_by_argument(curve: ProfileCurve) -> ProfileCurve:
                 break
             s[idx] = np.clip(s[idx] - resid[idx] / bdot[idx], lo + eps, hi - eps)
             last[:, idx] = out = curve.eval(s[idx])
-            resid[idx], bdot[idx] = _arg_residual(out, b[idx])
+            for kept, v in zip(terms, _arg_terms(out, b[idx])):
+                kept[idx] = v
             r = np.abs(resid[idx])
             keep = (r > REPARAM_TOL) | ((r > POLISH_TOL) & (4.0 * r < prev))
             idx, prev = idx[keep], np.where(r > REPARAM_TOL, np.inf, r)[keep]
@@ -297,12 +361,12 @@ def reparam_by_argument(curve: ProfileCurve) -> ProfileCurve:
             raise ReparamError(f"inversion of beta(s) did not converge for {curve.name!r}")
 
         f, fd, fdd, g, gd, gdd = last
-        ps, dps = _image(last)
-        cdps = np.conj(ps) * dps
-        cddps = np.conj(ps) * (-2.0 * (fd * fd + f * fdd) + 1j * gdd)
-        bddot = (np.imag(cddps) - 2.0 * bdot * np.real(cdps)) / np.abs(ps) ** 2
+        _, _, f2, dre, q = terms
+        # beta'' = (Im(conj p* d2p*) - 2 beta' Re(conj p* dp*)) / |p*|^2
+        bddot = (2.0 * g * (fd * fd + f * fdd) - f2 * gdd
+                 - 2.0 * bdot * (g * gd - f2 * dre)) / q
         sp = 1.0 / bdot
-        spp = -bddot / bdot ** 3
+        spp = -bddot * sp * sp * sp
         return tuple(v.reshape(np.shape(beta)) for v in (
             f, fd * sp, fdd * sp * sp + fd * spp,
             g, gd * sp, gdd * sp * sp + gd * spp,

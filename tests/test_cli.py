@@ -80,6 +80,13 @@ def test_radius_must_be_positive(capsys, cmd, R):
     assert err == f"error: --R must be positive, got {float(R):g}\n"
 
 
+@pytest.mark.parametrize("cmd", SUBCOMMANDS[:2], ids=lambda c: c[0])
+def test_grid_below_16_is_a_usage_error(capsys, cmd):
+    code, out, err = run(capsys, *cmd, "--surface", "bubble", "--grid", "15")
+    assert (code, out) == (2, "")
+    assert err == "error: --grid must be at least 16, got 15\n"
+
+
 def test_validate_profile_and_surface_conflict(capsys):
     code, _, err = run(capsys, "validate", "--surface", "koranyi",
                        "--profile", "x.prof")

@@ -232,11 +232,12 @@ def test_quasiradial_family_rows_equal_single_curves(surface_ring):
 
 
 # min and mean of 300 random curves (seed0=0, n=256); any change in the
-# generators or the line integral shows here
+# generators or the line integral shows here (the cc mean moved one ulp when
+# the by-argument derivatives moved to real arithmetic)
 ADMISSIBILITY_300 = {
     "koranyi": ("0x1.22020a40d2baep+0", "0x1.1adb6accff9b1p+1"),
     "bubble": ("0x1.2864151506c05p+0", "0x1.1e45d78c95ba3p+1"),
-    "cc": ("0x1.1becba807f0d5p+0", "0x1.1f8b3c0916cb5p+1"),
+    "cc": ("0x1.1becba807f0d5p+0", "0x1.1f8b3c0916cb4p+1"),
 }
 
 
