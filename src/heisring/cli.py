@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -109,8 +110,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_modulus(args) -> int:
-    if not (args.a > 0 and args.a < args.b):
-        raise UsageError(f"need 0 < a < b, got a={args.a}, b={args.b}")
+    if not 0 < args.a < args.b < math.inf:
+        raise UsageError(f"--a and --b need 0 < a < b < inf, got a={args.a}, b={args.b}")
+    if not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol:g}")
+    if args.curves is not None and args.curves < 1:
+        raise UsageError(f"--curves must be at least 1, got {args.curves}")
+    if not 0 <= args.seed <= 2 ** 128 - (args.curves or 1):  # the N seeds are Philox keys
+        raise UsageError(f"--seed must be in [0, 2**128 - N] with --curves N, got {args.seed}")
     _require_grid(args)
     curve, name = _resolve_profile(args)
     ring = modulus_mod.make_ring(curve, args.a, args.b, grid_n=args.grid)

@@ -4,9 +4,11 @@ A curve is stored as dense arrays of ambient samples (z, t) with derivatives
 and, when generated in revolution coordinates, the tilde samples
 (xi, beta, phi) with their derivatives. Every constructor attaches a
 horizontality residual certificate. A CurveFamily holds many curves as one
-batch of (count, n+1) arrays on a shared grid. The generators, given arrays of
-parameters, and the line integral, given a family, work on whole chunks of
-curves, CHUNK_POINTS samples per call; a single curve is a family of one.
+batch of (count, n+1) arrays on a shared grid. The two generators build the
+tilde paths of their families and hand them to one lift, which forms Phi, its
+tangent and the residual. The generators, given arrays of parameters, and the
+line integral, given a family, work on whole chunks of curves, CHUNK_POINTS
+samples per call; a single curve is a family of one.
 """
 
 from __future__ import annotations
@@ -76,12 +78,6 @@ class HorizontalCurve(_Samples):
                    np.asarray(t, dtype=float), np.asarray(dz, dtype=complex),
                    np.asarray(dt, dtype=float), res, **tilde)
 
-    @property
-    def endpoints(self):
-        from .heis import HPoint
-        return (HPoint(complex(self.z[0]), float(self.t[0])),
-                HPoint(complex(self.z[-1]), float(self.t[-1])))
-
     def export_csv(self, path: str) -> str:
         nan = np.full(self.tau.shape, math.nan)
         tilde = [nan if v is None else v for v in (self.xi, self.beta, self.phi)]
@@ -94,20 +90,18 @@ class HorizontalCurve(_Samples):
 
 @dataclass(frozen=True)
 class CurveFamily(_Samples):
-    """``count`` curves on one shared grid ``tau``: (count, n+1) sample arrays
-    and a residual vector. Row ``i`` is ``family[i]``, a HorizontalCurve of
-    views into the arrays."""
+    """``count`` curves on one shared grid ``tau``: (count, n+1) sample arrays,
+    the six tilde ones included, and a residual vector. Row ``i`` is
+    ``family[i]``, a HorizontalCurve of views into the arrays."""
 
     def __len__(self):
         return len(self.residual)
 
     def __getitem__(self, i) -> HorizontalCurve:
         # positional arguments in field order: the cheapest construction per row
-        ambient = (self.tau, self.z[i], self.t[i], self.dz[i], self.dt[i], float(self.residual[i]))
-        if self.xi is None:  # generated families carry all six tilde arrays or none
-            return HorizontalCurve(*ambient)
-        return HorizontalCurve(*ambient, self.xi[i], self.beta[i], self.phi[i], self.dxi[i],
-                               self.dbeta[i], self.dphi[i])
+        return HorizontalCurve(self.tau, self.z[i], self.t[i], self.dz[i], self.dt[i],
+                               float(self.residual[i]), self.xi[i], self.beta[i], self.phi[i],
+                               self.dxi[i], self.dbeta[i], self.dphi[i])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -156,18 +150,12 @@ def line_integral(rho, curve, with_error: bool = False):
 # -- generators -------------------------------------------------------------------
 
 
-def _ambient(xi, phi, dxi, dbeta, dphi, ps, dps):
-    """(z, t, dz, dt) of Phi(xi, beta, phi) with analytic derivatives, from
-    tilde samples and the p* pair at beta."""
-    re = np.real(-ps)
-    z = np.exp(xi + 1j * phi) * np.sqrt(re)
-    t = np.exp(2.0 * xi) * np.imag(ps)
-    # a named factor: numpy reuses a large temporary right operand in place as
-    # the left one, and that swap changes the rounding of a complex product
-    dlog_term = dxi + 1j * dphi + 0.5 * (np.real(-dps) * dbeta / re)
-    dz = z * dlog_term
-    dt = 2.0 * dxi * t + np.exp(2.0 * xi) * np.imag(dps) * dbeta
-    return z, t, dz, dt
+def _lift(xi, beta, phi, dxi, dbeta, dphi, ps, dps):
+    """The CurveFamily fields after ``tau`` of the curves with the given tilde
+    samples, from the p* pair at beta: Phi and its tangent, their residual,
+    then the tilde samples themselves."""
+    z, t, dz, dt = revcoords.phi_map_tangent(xi, phi, dxi, dbeta, dphi, ps, dps)
+    return z, t, dz, dt, contact_residual(z, dz, dt), xi, beta, phi, dxi, dbeta, dphi
 
 
 def quasiradial(ring, beta, phi0, n: int = DEFAULT_RESOLUTION):
@@ -186,10 +174,8 @@ def quasiradial(ring, beta, phi0, n: int = DEFAULT_RESOLUTION):
     ps, dps = (v[row, None] for v in revcoords.pstar_pair(ring.profile, distinct))
     tb = np.array([math.tan(b) for b in distinct])[row, None]
     full = functools.partial(np.broadcast_to, shape=(betas.size, n + 1))
-    xis, phi, dxi, dbeta = full(xi), phis[:, None] + tb * xi, full(1.0), full(0.0)
-    z, t, dz, dt = _ambient(xis, phi, dxi, dbeta, full(tb), ps, dps)
-    fam = CurveFamily(xi, z, t, dz, dt, contact_residual(z, dz, dt), xi=xis,
-                      beta=full(betas[:, None]), phi=phi, dxi=dxi, dbeta=dbeta, dphi=full(tb))
+    fam = CurveFamily(xi, *_lift(full(xi), full(betas[:, None]), phis[:, None] + tb * xi,
+                                 full(1.0), full(0.0), full(tb), ps, dps))
     return fam if np.ndim(beta) or np.ndim(phi0) else fam[0]
 
 
@@ -252,8 +238,8 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
     sin_jt, cos_jt = np.sin(jt), np.cos(jt)
     # d sin(jt + phase) = (d cos phase) sin jt + (d sin phase) cos jt
     d_cos, d_sin = d * np.cos(phase), d * np.sin(phase)
-    kinds = dict(z=complex, t=float, dz=complex, dt=float, **dict.fromkeys(TILDE, float))
-    cols = {name: np.empty((seeds.size, n + 1), dtype=kind) for name, kind in kinds.items()}
+    sel = (slice(None), slice(None, None, REFINE))
+    cols = None  # the family's fields after tau, allocated whole at the first chunk
     for k in _row_chunks(seeds.size, tau.size):
         ck, dc, ds = c[k, :, None], d_cos[k, :, None], d_sin[k, :, None]
         # xi is needed on the kept samples only; the rest on the fine grid
@@ -265,15 +251,11 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
         dphi = revcoords.horizontality_rhs(ring.profile, beta, dxi, dbeta, pstar=(ps, dps))
         phi = phi0[k, None] + scipy.integrate.cumulative_simpson(
             dphi, dx=1.0 / (REFINE * n), initial=0.0)
-        sel = (slice(None), slice(None, None, REFINE))
-        part = dict(xi=xi, beta=beta[sel], phi=phi[sel], dxi=dxi[sel], dbeta=dbeta[sel],
-                    dphi=dphi[sel])
-        part.update(zip(("z", "t", "dz", "dt"), _ambient(
-            part["xi"], part["phi"], part["dxi"], part["dbeta"], part["dphi"], ps[sel], dps[sel])))
-        for name, v in part.items():
-            cols[name][k] = v
-    fam = CurveFamily(tau[::REFINE], residual=contact_residual(cols["z"], cols["dz"], cols["dt"]),
-                      **cols)
+        rows = _lift(xi, beta[sel], phi[sel], dxi[sel], dbeta[sel], dphi[sel], ps[sel], dps[sel])
+        cols = cols or [np.empty((seeds.size, *v.shape[1:]), v.dtype) for v in rows]
+        for col, v in zip(cols, rows):
+            col[k] = v
+    fam = CurveFamily(tau[::REFINE], *cols)
     return fam if np.ndim(seed) else fam[0]
 
 

@@ -135,14 +135,16 @@ def _constant(node, params: dict, statement: str, rhs: str) -> float:
     return float(value)
 
 
-def _check_constants(node, params: dict, statement: str, rhs: str):
-    """Evaluate every largest s-free subtree of ``node`` with _constant."""
+def _fold_constants(node, params: dict, statement: str, rhs: str):
+    """``node`` with each largest s-free subtree replaced by its checked value."""
     if not _has_s(node):
-        _constant(node, params, statement, rhs)
-        return
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.expr) and child is not getattr(node, "func", None):
-            _check_constants(child, params, statement, rhs)
+        return ast.copy_location(ast.Constant(_constant(node, params, statement, rhs)), node)
+    for field, child in ast.iter_fields(node):
+        if isinstance(child, ast.expr) and field != "func":
+            setattr(node, field, _fold_constants(child, params, statement, rhs))
+        elif field == "args":
+            child[0] = _fold_constants(child[0], params, statement, rhs)
+    return node
 
 
 @contextlib.contextmanager
@@ -158,10 +160,11 @@ def _located(line: int, column: int):
 def parse_profile_source(text: str):
     """Parse a profile definition file.
 
-    Returns (f_ast, g_ast, (lo, hi), params). Raises ParseError, at the line
-    and column of the fault, on syntax errors, missing statements, a malformed
-    domain, or a constant (a parameter, a domain end or an s-free part of f or
-    g) that is not a finite number; the last names its statement.
+    Returns (f_ast, g_ast, (lo, hi), params), each largest s-free part of f and
+    g folded into a Constant. Raises ParseError, at the line and column of the
+    fault, on syntax errors, missing statements, a malformed domain, or a
+    constant (a parameter, a domain end or an s-free part of f or g) that is
+    not a finite number; the last names its statement.
     """
     params: dict[str, float] = {"pi": math.pi}
     found = {}  # "f" and "g": (tree, where); "domain": (lo, hi)
@@ -194,7 +197,8 @@ def parse_profile_source(text: str):
     missing = [n for n in ("f", "g", "domain") if n not in found]
     if missing:
         raise ParseError(f"missing statements: {', '.join(missing)}", len(lines[-1]), len(lines))
+    trees = []
     for tree, (number, column, line, rhs) in (found["f"], found["g"]):
         with _located(number, column):  # parameters may follow f and g
-            _check_constants(tree, params, line, rhs)
-    return found["f"][0], found["g"][0], found["domain"], params
+            trees.append(_fold_constants(tree, params, line, rhs))
+    return *trees, found["domain"], params

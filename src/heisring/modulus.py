@@ -18,9 +18,10 @@ import numpy as np
 
 from . import curves as curves_mod
 from . import revcoords
+from . import surface as surface_mod
 from .heis import HPoint
 from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, ValidationError,
-                       band_atan2, clip_to_band, reparam_by_argument, validate)
+                       band_atan2, clip_to_band, reparam_by_argument, uniform_cell, validate)
 
 
 BRACKET_CELLS = 2 ** 12  # uniform beta cells of RevolutionRing.shell_bracket
@@ -125,8 +126,7 @@ def rho0_values(ring: RevolutionRing, z, t, closed: bool = True,
     az, r4, gauge, beta = _gauge_terms(z, t)
     pad = tol if closed else -tol
     lo, hi = ring.shell_bracket
-    cell = np.fmin((beta - BETA_LO) * (BRACKET_CELLS / math.pi),
-                   BRACKET_CELLS - 1).astype(np.intp)  # fmin sends nan to a (0, inf) cell
+    cell = uniform_cell(beta, BETA_LO, BETA_HI, BRACKET_CELLS)  # nan goes to a (0, inf) cell
     inside = np.asarray((gauge > ((ring.a - pad) * hi)[cell])
                         & (gauge < ((ring.b + pad) * lo)[cell]))
     check = ~(inside | (gauge < ((ring.a - pad) * lo)[cell])
@@ -214,10 +214,6 @@ class AdmissibilityReport:
     mean: float
     histogram: tuple
     bin_edges: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.min >= 1.0 - ADMISSIBILITY_SLACK
 
 
 def admissibility_report(ring: RevolutionRing,
@@ -316,18 +312,14 @@ def quasiradial_angle(ring: RevolutionRing, q: revcoords.RevPoint) -> float:
     """
     if not (BETA_LO < q.beta < BETA_HI):
         raise ValueError(f"beta {q.beta} outside the open band")
-    prof = ring.profile
-    ps, dps = revcoords.pstar_pair(prof, q.beta)
-    re = float(np.real(-ps))
-
-    # horizontal tangent of the quasiradial through q (derivative in xi)
-    z, t = revcoords.phi_map_arrays(prof, q.xi, q.beta, q.phi)
-    dz = complex(z) * (1.0 + 1j * math.tan(q.beta))
+    ps, dps = revcoords.pstar_pair(ring.profile, q.beta)
+    # horizontal tangent of the quasiradial through q: xi' = 1, beta' = 0, phi' = tan(beta)
+    dz = revcoords.phi_map_tangent(q.xi, q.phi, 1.0, 0.0, math.tan(q.beta), ps, dps)[2]
     tangent = np.array([dz.real, dz.imag])
-
-    # horizontal normal of the leaf S_xi at q: profile dilated by e^xi
-    w = np.exp(1j * q.phi) * complex(dps)
-    normal = float(np.sqrt(re)) * np.array([-w.imag, w.real])
+    # horizontal normal of the leaf S_xi at q, the profile dilated by e^xi,
+    # which points as the undilated one does
+    leaf = surface_mod.SurfacePatch(ring.profile)
+    normal = np.array(surface_mod.horizontal_normal_components(leaf, q.beta, q.phi))
 
     cos_num = float(tangent @ normal) / (
         float(np.hypot(*tangent)) * float(np.hypot(*normal)))

@@ -79,6 +79,11 @@ def arg_rate(ps, dps):
     return np.imag(np.conj(ps) * dps) / np.abs(ps) ** 2
 
 
+def phase_rate(ps, dps):
+    """d phi / ds of a horizontal curve along a leaf: Im dp* / (2 Re p*)."""
+    return np.imag(dps) / (2.0 * np.real(ps))
+
+
 # Band-edge offsets, one per reason:
 BAND_CLIP = 1e-15  # p* is evaluated this far inside the open band
 EDGE_OFFSET = 1e-9  # quadrature and sampling grids keep this distance from the band edges
@@ -92,10 +97,10 @@ def band_atan2(y, x):
     return np.where(ang > 0, ang, ang + 2.0 * math.pi)
 
 
-def arg_band(w):
-    """arg into (pi/2, 3pi/2]; valid for Re w <= 0."""
-    w = np.asarray(w)
-    return band_atan2(w.imag, w.real)
+def uniform_cell(x, lo, hi, n):
+    """Index of the cell holding x among n uniform cells of [lo, hi]; x at hi
+    or nan gets the last one (np.fmin sends nan there)."""
+    return np.fmin((x - lo) * (n / (hi - lo)), n - 1).astype(np.intp)
 
 
 def clip_to_band(beta):
@@ -241,7 +246,7 @@ def _seed_sample(curve: ProfileCurve):
     eps = REPARAM_CLAMP * (hi - lo)
     s = np.linspace(lo + eps, hi - eps, SEED_N + 1)
     ps, dps = koranyi_image(curve, s)
-    beta = arg_band(ps)
+    beta = band_atan2(ps.imag, ps.real)
     if np.any(np.diff(beta) <= 0):
         raise ReparamError(f"beta(s) is not strictly increasing for {curve.name!r}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -259,14 +264,10 @@ def _cell_index(nodes):
     compare against nodes[i + 1], the first inner node from that bucket on.
     Points of a bucket holding more (where beta(s) is flat, next to a band
     edge) take searchsorted, and so do those of the last bucket, where
-    np.fmin sends nan.
+    uniform_cell sends nan.
     """
     n_buckets = 4 * (nodes.size - 1)
-    scale = n_buckets / (nodes[-1] - nodes[0])
-
-    def bucket(b):
-        return np.fmin((b - nodes[0]) * scale, n_buckets - 1).astype(np.intp)
-
+    bucket = functools.partial(uniform_cell, lo=nodes[0], hi=nodes[-1], n=n_buckets)
     held = np.bincount(bucket(nodes[1:-1]), minlength=n_buckets)
     below = (np.cumsum(held) - held).astype(np.int32)  # int32: half the memory of intp
     crowded = held > 1
@@ -500,11 +501,10 @@ def parse_profile(text: str, name: str = "user profile") -> ProfileCurve:
     Derivatives come from second-order dual numbers threaded through the
     parsed expressions.
     """
-    f_ast, g_ast, domain, params = exprparse.parse_profile_source(text)
+    f_ast, g_ast, domain, _ = exprparse.parse_profile_source(text)
 
     def evaluator(s):
-        env = dict(params)
-        env["s"] = ad.Dual2.seed(s)
+        env = {"s": ad.Dual2.seed(s)}
         z = np.zeros_like(np.asarray(s, dtype=float))
         zero = ad.Dual2(z, z, z)  # adding it broadcasts a constant f or g, too
         fv = zero + exprparse.evaluate(f_ast, env)

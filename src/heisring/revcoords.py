@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, arg_band,
-                       clip_to_band, koranyi_image)
+from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, band_atan2,
+                       clip_to_band, koranyi_image, phase_rate)
 
 MAX_SUBDIVISIONS = 200  # cap on the adaptive cubature's region splits
 
@@ -44,12 +44,25 @@ def pstar_pair(curve: ProfileCurve, beta):
     return koranyi_image(curve, beta)
 
 
+def _phi_map(xi, phi, ps):
+    """(z, t) = Phi(xi, beta, phi), from p* at beta."""
+    return (np.exp(xi + 1j * np.asarray(phi)) * np.sqrt(np.real(-ps)),
+            np.exp(2.0 * np.asarray(xi)) * np.imag(ps))
+
+
 def phi_map_arrays(curve: ProfileCurve, xi, beta, phi):
     """Vectorized forward map; returns (z, t)."""
-    ps, _ = pstar_pair(curve, beta)
-    z = np.exp(xi + 1j * np.asarray(phi)) * np.sqrt(np.real(-ps))
-    t = np.exp(2.0 * np.asarray(xi)) * np.imag(ps)
-    return z, t
+    return _phi_map(xi, phi, pstar_pair(curve, beta)[0])
+
+
+def phi_map_tangent(xi, phi, dxi, dbeta, dphi, ps, dps):
+    """(z, t, dz, dt): Phi(xi, beta, phi) and its derivative along a path with
+    derivatives (dxi, dbeta, dphi), from the p* pair at beta."""
+    z, t = _phi_map(xi, phi, ps)
+    # a named factor: numpy reuses a large temporary right operand in place as
+    # the left one, and that swap changes the rounding of a complex product
+    dlog_term = dxi + 1j * dphi + 0.5 * (np.real(-dps) * dbeta / np.real(-ps))
+    return z, t, z * dlog_term, 2.0 * dxi * t + np.exp(2.0 * xi) * np.imag(dps) * dbeta
 
 
 def phi_inv_arrays(curve: ProfileCurve, z, t):
@@ -59,7 +72,7 @@ def phi_inv_arrays(curve: ProfileCurve, z, t):
     if np.any(z == 0):
         raise ValueError("inverse revolution coordinates are undefined on the vertical axis")
     alpha = -np.abs(z) ** 2 + 1j * t
-    beta = arg_band(alpha)
+    beta = band_atan2(alpha.imag, alpha.real)
     ps, _ = pstar_pair(curve, clip_to_band(beta))
     xi = 0.5 * np.log(np.abs(alpha) / np.abs(ps))
     phi = np.mod(np.angle(z), 2.0 * math.pi)
@@ -76,8 +89,7 @@ def horizontality_rhs(curve: ProfileCurve, beta, dxi, dbeta, pstar=None):
     """dphi demanded by the horizontality condition; ``pstar`` is the pair
     (p*, dp*/dbeta) at ``beta`` when the caller already has it."""
     ps, dps = pstar_pair(curve, np.asarray(beta)) if pstar is None else pstar
-    return np.tan(np.asarray(beta)) * np.asarray(dxi) + \
-        np.imag(dps) / (2.0 * np.real(ps)) * np.asarray(dbeta)
+    return np.tan(np.asarray(beta)) * np.asarray(dxi) + phase_rate(ps, dps) * np.asarray(dbeta)
 
 
 def horizontal_speed(curve: ProfileCurve, xi, beta, dxi, dbeta):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .profiles import ProfileCurve, _image, koranyi_image
+from .profiles import ProfileCurve, _image, koranyi_image, phase_rate
 
 
 class CurvatureError(ArithmeticError):
@@ -74,10 +74,9 @@ def horizontal_area(surface: SurfacePatch) -> float:
 def flow_phase_rate(surface: SurfacePatch, s):
     """d phi / d s along the Legendrian foliation: Im dp* / (2 Re p*)."""
     ps, dps = koranyi_image(surface.profile, s)
-    re = np.real(ps)
-    if np.any(re == 0):
+    if np.any(np.real(ps) == 0):
         raise ZeroDivisionError("flow integrand blows up: Re p* = 0 inside span")
-    return np.imag(dps) / (2.0 * re)
+    return phase_rate(ps, dps)
 
 
 def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
@@ -166,8 +165,9 @@ def export_mesh(surface: SurfacePatch, obj_path: str, csv_path: str | None = Non
     phi_vals = 2.0 * math.pi * np.arange(n_phi) / n_phi
 
     ss, pp = (a.ravel() for a in np.meshgrid(s_vals, phi_vals, indexing="ij"))
-    z, t = patch_xyz(surface, ss, pp)
-    nh = np.hypot(*horizontal_normal_components(surface, ss, pp))
+    z, t = patch_xyz(surface, s_vals[:, None], phi_vals)  # the profile is evaluated per s
+    z, t = z.ravel(), np.repeat(t, n_phi)
+    nh = np.hypot(*horizontal_normal_components(surface, s_vals[:, None], phi_vals)).ravel()
     hh = mean_curvature(surface, s_vals)
 
     # a, b: 1-based indices of vertices (i, j), (i, j + 1); quad (a, b, b + n_phi, a + n_phi)

@@ -208,6 +208,35 @@ def test_modulus_reversed_bounds_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--tol", "0"], "--tol must be positive and finite, got 0"),
+    (["--tol", "-1"], "--tol must be positive and finite, got -1"),
+    (["--tol", "nan"], "--tol must be positive and finite, got nan"),
+    (["--tol", "inf"], "--tol must be positive and finite, got inf"),
+    (["--seed", "-1", "--curves", "2"], "--seed must be in [0, 2**128 - N] with --curves N"),
+    (["--seed", str(2 ** 128 - 1), "--curves", "2"], "--seed must be in [0, 2**128 - N]"),
+    (["--seed", str(2 ** 128)], "--seed must be in [0, 2**128 - N]"),
+    (["--curves", "0"], "--curves must be at least 1, got 0"),
+    (["--curves", "-5"], "--curves must be at least 1, got -5"),
+    (["--b", "inf"], "--a and --b need 0 < a < b < inf, got a=1.0, b=inf"),
+    (["--a", "nan"], "--a and --b need 0 < a < b < inf, got a=nan, b=2.0"),
+])
+def test_modulus_flags_that_cannot_run_are_usage_errors(monkeypatch, capsys, extra, message):
+    # each is rejected before any computation starts
+    monkeypatch.setattr(modulus, "make_ring", None)
+    code, out, err = run(capsys, "modulus", "--surface", "koranyi", "--a", "1", "--b", "2",
+                         *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_modulus_takes_the_last_seed_philox_accepts(capsys):
+    code, out, err = run(capsys, "modulus", "--surface", "koranyi", "--a", "1", "--b", "2",
+                         "--seed", str(2 ** 128 - 2), "--curves", "2")
+    assert code == 0, err
+    assert "admissibility n     2" in out
+
+
 def test_modulus_deterministic(capsys):
     _, out1, _ = run(capsys, "modulus", "--surface", "koranyi",
                      "--a", "1", "--b", "2", "--curves", "3", "--json")

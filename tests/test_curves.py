@@ -63,9 +63,9 @@ def test_straight_lift_is_flat():
 def test_quasiradial_residual_and_endpoints():
     q = cv.quasiradial(RING, beta=2.2, phi0=0.4)
     assert q.residual < 1e-12
-    inner, outer = q.endpoints
-    assert float(md.boundary_ratio(RING, inner.z, inner.t)) == pytest.approx(1.0, abs=1e-9)
-    assert float(md.boundary_ratio(RING, outer.z, outer.t)) == pytest.approx(2.0, abs=1e-9)
+    ends = md.boundary_ratio(RING, q.z[[0, -1]], q.t[[0, -1]])
+    assert ends == pytest.approx([1.0, 2.0], abs=1e-9)
+    inner, outer = (heis.HPoint(complex(q.z[i]), float(q.t[i])) for i in (0, -1))
     assert gauge(inner) == pytest.approx(1.0, rel=1e-12)  # koranyi: |p*| = 1
     assert gauge(outer) == pytest.approx(2.0, rel=1e-12)
 
@@ -105,9 +105,7 @@ def test_random_curves_connect_boundaries():
     for seed in range(8):
         curve = cv.random_horizontal_curve(RING_B, seed=seed, n=128)
         assert curve.residual < 1e-10
-        inner, outer = curve.endpoints
-        r0 = float(md.boundary_ratio(RING_B, inner.z, inner.t))
-        r1 = float(md.boundary_ratio(RING_B, outer.z, outer.t))
+        r0, r1 = md.boundary_ratio(RING_B, curve.z[[0, -1]], curve.t[[0, -1]])
         assert r0 == pytest.approx(1.0, abs=1e-9)
         assert r1 == pytest.approx(2.0, abs=1e-9)
         # interior samples stay inside the closed ring
@@ -245,6 +243,80 @@ def test_admissibility_report_is_pinned(surface_ring):
     name, ring = surface_ring
     rep = md.admissibility_report(ring, cv.random_family(ring, 300, seed0=0, n=256))
     assert (rep.min.hex(), rep.mean.hex()) == ADMISSIBILITY_300[name]
+
+
+# float.hex of (Re z, Im z, t, Re dz, Im dz, dt) at rows (0, last) x samples
+# (0, 32, 64) of random_family(ring, 20, seed0=0, n=64) and
+# quasiradial_family(ring, 3, 3, n=64) on the (1, 2) ring
+FAMILY_PINS = {
+    ("bubble", "random"): (
+        ("0x1.0513a2d59654ap-3", "-0x1.f61103bfec1e6p+0", "0x1.797625398e338p+0",
+         "0x1.a2cdfd9336decp+1", "-0x1.4c0383ed17b8ap+0", "-0x1.90191a1fde2edp+3"),
+        ("-0x1.077cadc697052p+0", "-0x1.1084d6ebf84c8p+1", "0x1.056068a2063c9p+3",
+         "-0x1.70aec0081e20ap+1", "-0x1.34aebeb45e457p+0", "0x1.390b84a340a45p+3"),
+        ("0x1.58feb5a0de6c5p-1", "-0x1.f6693b5d1188ep+1", "-0x1.7e215778e23c8p+1",
+         "0x1.fccb74d45e532p+0", "-0x1.94b7240f2e5e2p+1", "-0x1.6ae9dcf01d63cp+3"),
+        ("-0x1.9f1b81cd02feep-1", "-0x1.d2dd2995c291dp+0", "-0x1.0991c872e5c80p-1",
+         "-0x1.92c6048667e98p+1", "-0x1.3522788c3268ap-3", "0x1.676f24eac3f66p+3"),
+        ("-0x1.2ddbae0085eeap+0", "-0x1.47216e21cd5abp+1", "-0x1.489d48e77c06ap-3",
+         "-0x1.61de5580d1b1ap+2", "0x1.bdacc8598e5e0p-1", "0x1.e5095eb1a45d3p+4"),
+        ("-0x1.00e6a85a634ebp+1", "-0x1.baa7abd681abcp+1", "0x1.c7420333d6640p-1",
+         "-0x1.1eeb16620c066p+2", "-0x1.5dcacc880f8bdp-2", "0x1.da2d712c0df60p+4"),
+    ),
+    ("bubble", "quasiradial"): (
+        ("0x1.cfd8a279130e1p+0", "0x0.0p+0", "0x1.a438a982432d6p+1",
+         "0x1.cfd8a279130e1p+0", "-0x1.cfd8a279130e3p+0", "0x1.a438a982432d6p+2"),
+        ("0x1.347cbf00e4c3bp+1", "-0x1.bda42501fbd48p-1", "0x1.a438a982432d6p+2",
+         "0x1.8a276b80cb9d1p+0", "-0x1.a3e5c84163b8ep+1", "0x1.a438a982432d6p+3"),
+        ("0x1.64cefe07f1283p+1", "-0x1.2861392b59951p+1", "0x1.a438a982432d6p+3",
+         "0x1.e36e26e4bc988p-2", "-0x1.46981b99a55ebp+2", "0x1.a438a982432d6p+4"),
+        ("-0x1.cfd8a279130e7p-1", "-0x1.91b3dec406a2ap+0", "-0x1.a438a982432dcp+1",
+         "0x1.538f1b0efa369p-1", "-0x1.3cd018004814ep+1", "-0x1.a438a982432dcp+2"),
+        ("-0x1.ce13732041e2ep-2", "-0x1.42dcec22c96b0p+1", "-0x1.a438a982432dcp+2",
+         "0x1.091a7dbec12e8p+1", "-0x1.7c9f5a86d1a75p+1", "-0x1.a438a982432dcp+3"),
+        ("0x1.3912922178d08p-1", "-0x1.c931f6a50b301p+1", "-0x1.a438a982432dcp+3",
+         "0x1.0bbb4d96b4b20p+2", "-0x1.7aed521cacfbfp+1", "-0x1.a438a982432dcp+4"),
+    ),
+    ("cc", "random"): (
+        ("0x1.f906476457c66p-5", "-0x1.e598b5a6171c8p-1", "0x1.611a5c93c3b05p-2",
+         "0x1.65fabff5b3a83p+0", "-0x1.38e9e464f48e1p+0", "-0x1.403a63c630c32p+1"),
+        ("-0x1.ea217b343905ep-3", "-0x1.cb924713c9586p-1", "0x1.42ac8716e5a81p+0",
+         "-0x1.4f62787af9f7fp+0", "-0x1.8f99b1be87813p-1", "0x1.fa7323209121ap+0"),
+        ("0x1.433c6e3573af3p-2", "-0x1.f2dc950fbdd27p+0", "-0x1.7791522294806p-1",
+         "0x1.e49a061ebddd3p-1", "-0x1.82aa013acee4ap+0", "-0x1.5e1ca5c16f854p+1"),
+        ("-0x1.9d5ec65658fc3p-2", "-0x1.d0e8fae1ea05bp-1", "-0x1.0759eddfe9e0dp-3",
+         "-0x1.9f14160da048cp+0", "-0x1.094ad83698d4ep-2", "0x1.5e21151cfeccap+1"),
+        ("-0x1.2d97242bc4642p-1", "-0x1.4726d20202f3ep+0", "-0x1.488c08fafd700p-5",
+         "-0x1.64a9120c18630p+1", "0x1.8926c48951648p-2", "0x1.e4bcb6e39ff68p+2"),
+        ("-0x1.00878a535d91dp+0", "-0x1.ba69fe75d013dp+0", "0x1.c68e4249dc4b1p-3",
+         "-0x1.17bf3139648b7p+1", "-0x1.6c5ac37b128e7p-4", "0x1.d80b1116fad8fp+2"),
+    ),
+    ("cc", "quasiradial"): (
+        ("0x1.8c9b40bca4d8dp-1", "0x0.0p+0", "0x1.333857378966ap-1",
+         "0x1.8c9b40bca4d8dp-1", "-0x1.8c9b40bca4d8fp-1", "0x1.333857378966ap+0"),
+        ("0x1.07c4c02f9eaebp+0", "-0x1.7d0a5a8b30f0dp-2", "0x1.333857378966ap+0",
+         "0x1.51045319a4e4fp-1", "-0x1.670756d26aeafp+0", "0x1.333857378966ap+1"),
+        ("0x1.3115ca175223bp+0", "-0x1.fad513edf8befp-1", "0x1.333857378966ap+1",
+         "0x1.9d5a0102ae214p-3", "-0x1.17402a072741ap+1", "0x1.333857378966ap+2"),
+        ("-0x1.8c9b40bca4d94p-2", "-0x1.5778a4eeeec62p-1", "-0x1.3338573789669p-1",
+         "0x1.2256092138b2cp-2", "-0x1.0ee322a6a0995p+0", "-0x1.3338573789669p+0"),
+        ("-0x1.8b17c3216977dp-3", "-0x1.140f7197e9d3ep+0", "-0x1.3338573789669p+0",
+         "0x1.c558f26779499p-1", "-0x1.457269fc1702dp+0", "-0x1.3338573789669p+1"),
+        ("0x1.0bb06a8e590f9p-2", "-0x1.86eb6736ca6a0p+0", "-0x1.3338573789669p+1",
+         "0x1.c9d781da60adcp+0", "-0x1.43ff4c9334262p+0", "-0x1.3338573789669p+2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(FAMILY_PINS))
+def test_family_samples_are_pinned(name, kind):
+    ring = md.make_ring(catalog(SURFACES[name], 1.0), 1.0, 2.0)
+    fam = (cv.random_family(ring, 20, seed0=0, n=64) if kind == "random"
+           else cv.quasiradial_family(ring, 3, 3, n=64))
+    got = tuple(tuple(float(v).hex() for v in (fam.z[i, j].real, fam.z[i, j].imag, fam.t[i, j],
+                                               fam.dz[i, j].real, fam.dz[i, j].imag, fam.dt[i, j]))
+                for i in (0, len(fam) - 1) for j in (0, 32, 64))
+    assert got == FAMILY_PINS[name, kind]
 
 
 def test_random_family_phase_matches_refined_integration(monkeypatch, surface_ring):

@@ -1,5 +1,6 @@
 """Expression language and dual-number differentiation."""
 
+import ast
 import math
 
 import numpy as np
@@ -101,6 +102,22 @@ def test_profile_source_roundtrip():
     env = dict(params, s=ad.Dual2.seed(math.pi))
     assert evaluate(f_ast, env).val == pytest.approx(2.0)
     assert evaluate(g_ast, env).val == pytest.approx(0.0, abs=1e-12)
+
+
+def test_profile_source_folds_constants():
+    src = "param R = 2; param k = R^2/4\nf = R*sin(s/(2*R)) + k*pi; g = (1 + R)*s - sqrt(k)\n" \
+          "domain = (0, 2*pi*R)"
+    f_ast, g_ast, _, params = exprparse.parse_profile_source(src)
+    assert params == {"pi": math.pi, "R": 2.0, "k": 1.0}
+    for tree in (f_ast, g_ast):
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        calls = {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert names - calls == {"s"}
+    consts = [n.value for n in ast.walk(f_ast) if isinstance(n, ast.Constant)]
+    assert sorted(consts) == [2.0, math.pi, 4.0]  # R, k*pi and 2*R
+    env = {"s": ad.Dual2.seed(1.0)}  # no parameter is needed any more
+    assert evaluate(f_ast, env).val == pytest.approx(2.0 * math.sin(0.25) + math.pi)
+    assert evaluate(g_ast, env).val == pytest.approx(2.0)
 
 
 def test_profile_source_missing_statement():

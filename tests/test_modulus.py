@@ -302,7 +302,7 @@ def test_quasiradial_admissibility_exact():
     assert rep.n == 32
     assert rep.min == pytest.approx(1.0, abs=1e-9)
     assert rep.mean == pytest.approx(1.0, abs=1e-9)
-    assert rep.passed
+    assert rep.min >= 1.0 - md.ADMISSIBILITY_SLACK
 
 
 def test_random_admissibility_above_one():

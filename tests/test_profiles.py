@@ -7,7 +7,7 @@ import pytest
 
 from heisring import profiles
 from heisring.profiles import (BETA_HI, BETA_LO, DomainError, EvaluationError, ProfileCurve,
-                               ReparamError, arg_band, arg_rate, catalog, koranyi_image,
+                               ReparamError, arg_rate, band_atan2, catalog, koranyi_image,
                                parse_profile, reparam_by_argument, validate)
 
 
@@ -50,7 +50,7 @@ def test_koranyi_sphere_beta_is_parameter():
     c = catalog("koranyi_sphere", 1.0)
     grid = np.linspace(BETA_LO + 0.01, BETA_HI - 0.01, 50)
     ps, dps = koranyi_image(c, grid)
-    assert np.allclose(arg_band(ps), grid, atol=1e-12)
+    assert np.allclose(band_atan2(ps.imag, ps.real), grid, atol=1e-12)
     assert np.allclose(arg_rate(ps, dps), 1.0, atol=1e-10)
 
 
@@ -63,8 +63,8 @@ def test_koranyi_image_and_arg_rate_match_finite_differences(name):
     ps, dps = koranyi_image(c, s)
     (pm, _), (pp, _) = koranyi_image(c, s - h), koranyi_image(c, s + h)
     assert np.allclose(dps, (pp - pm) / (2 * h), rtol=1e-7, atol=1e-7)
-    assert np.allclose(arg_rate(ps, dps), (arg_band(pp) - arg_band(pm)) / (2 * h),
-                       rtol=1e-6, atol=1e-7)
+    diff = band_atan2(pp.imag, pp.real) - band_atan2(pm.imag, pm.real)
+    assert np.allclose(arg_rate(ps, dps), diff / (2 * h), rtol=1e-6, atol=1e-7)
 
 
 @pytest.mark.parametrize("name", profiles.CATALOG_NAMES)
@@ -87,7 +87,7 @@ def test_bubble_pole_limits():
 def test_bubble_midpoint_argument():
     c = catalog("bubble_set", 1.0)
     ps, _ = koranyi_image(c, math.pi)
-    assert float(arg_band(ps)) == pytest.approx(math.pi, rel=1e-12)
+    assert float(band_atan2(ps.imag, ps.real)) == pytest.approx(math.pi, rel=1e-12)
     assert ps == pytest.approx(-4.0 + 0j, abs=1e-12)
 
 
@@ -96,7 +96,8 @@ def test_bubble_argument_formula():
     c = catalog("bubble_set", 1.0)
     for s in np.linspace(0.4, 2 * math.pi - 0.4, 17):
         expected = (math.sin(s) - s + math.pi) / (math.cos(s) - 1.0)
-        beta = float(arg_band(koranyi_image(c, s)[0]))
+        ps, _ = koranyi_image(c, s)
+        beta = float(band_atan2(ps.imag, ps.real))
         assert math.tan(beta) == pytest.approx(expected, rel=1e-9)
 
 
@@ -285,7 +286,8 @@ def test_reparam_roundtrip(name):
     rc = reparam_by_argument(c)
     assert rc.by_argument and rc.domain == (BETA_LO, BETA_HI)
     grid = np.linspace(BETA_LO + 1e-3, BETA_HI - 1e-3, 200)
-    assert np.max(np.abs(arg_band(koranyi_image(rc, grid)[0]) - grid)) < 1e-10
+    ps, _ = koranyi_image(rc, grid)
+    assert np.max(np.abs(band_atan2(ps.imag, ps.real) - grid)) < 1e-10
 
 
 def test_reparam_derivatives_by_finite_differences():
@@ -301,6 +303,48 @@ f = 2*R*sin(s/(2*R))
 g = 2*R^2*sin(s/R) - 2*R*s + 2*pi*R^2
 domain = (0, 2*pi*R)
 """
+
+# float.hex of (s, (f, f', f'', g, g', g'')) of the parsed bubble at ten interior s
+PARSED_BUBBLE_PINS = [
+    ("0x1.247426bd47de3p-1",
+     ("0x1.207e7fd768dbfp-1", "0x1.eb42a9bcd5057p-1", "-0x1.207e7fd768dbfp-3",
+      "0x1.8e366377de3a2p+2", "-0x1.451cde26c3d18p-2", "-0x1.14cedf8bb580bp+0")),
+    ("0x1.247426bd47de3p+0",
+     ("0x1.14cedf8bb580bp+0", "0x1.aeb8c8764f0bap-1", "-0x1.14cedf8bb580bp-2",
+      "0x1.745474215792bp+2", "-0x1.2b4eb931c76a5p+0", "-0x1.d1bb48eee2c13p+0")),
+    ("0x1.b6ae3a1bebcd4p+0",
+     ("0x1.82f19bb3a28a1p+0", "0x1.4f49e7f775887p-1", "-0x1.82f19bb3a28a1p-2",
+      "0x1.357b10472df6ap+2", "-0x1.246ebec81e89bp+1", "-0x1.fac9e043842f0p+0")),
+    ("0x1.247426bd47de3p+1",
+     ("0x1.d1bb48eee2c13p+0", "0x1.a9628d9c712b6p-2", "-0x1.d1bb48eee2c13p-2",
+      "0x1.9ccfeae7c72bap+1", "-0x1.a7a4f3fbbac43p+1", "-0x1.82f19bb3a28a1p+0")),
+    ("0x1.6d91306c99d5cp+1",
+     ("0x1.fac9e043842efp+0", "0x1.2375f640f44dap-3", "-0x1.fac9e043842efp-2",
+      "0x1.2279534a585d0p+0", "-0x1.f5a154de6a82cp+1", "-0x1.207e7fd768dbfp-1")),
+    ("0x1.b6ae3a1bebcd4p+1",
+     ("0x1.fac9e043842f0p+0", "-0x1.2375f640f44d6p-3", "-0x1.fac9e043842f0p-2",
+      "-0x1.2279534a585ccp+0", "-0x1.f5a154de6a82cp+1", "0x1.207e7fd768dbap-1")),
+    ("0x1.ffcb43cb3dc4dp+1",
+     ("0x1.d1bb48eee2c14p+0", "-0x1.a9628d9c712b4p-2", "-0x1.d1bb48eee2c14p-2",
+      "-0x1.9ccfeae7c72b8p+1", "-0x1.a7a4f3fbbac44p+1", "0x1.82f19bb3a28a0p+0")),
+    ("0x1.247426bd47de3p+2",
+     ("0x1.82f19bb3a28a1p+0", "-0x1.4f49e7f775886p-1", "-0x1.82f19bb3a28a1p-2",
+      "-0x1.357b10472df6ap+2", "-0x1.246ebec81e89cp+1", "0x1.fac9e043842efp+0")),
+    ("0x1.4902ab94f0d9fp+2",
+     ("0x1.14cedf8bb580dp+0", "-0x1.aeb8c8764f0b9p-1", "-0x1.14cedf8bb580dp-2",
+      "-0x1.745474215792cp+2", "-0x1.2b4eb931c76a8p+0", "0x1.d1bb48eee2c15p+0")),
+    ("0x1.6d91306c99d5cp+2",
+     ("0x1.207e7fd768dbfp-1", "-0x1.eb42a9bcd5057p-1", "-0x1.207e7fd768dbfp-3",
+      "-0x1.8e366377de3a2p+2", "-0x1.451cde26c3d18p-2", "0x1.14cedf8bb580ap+0")),
+]
+
+
+def test_parsed_profile_values_are_pinned():
+    prof = parse_profile(BUBBLE_SOURCE, name="bubble")
+    s = np.array([float.fromhex(x) for x, _ in PARSED_BUBBLE_PINS])
+    got = [tuple(float(v).hex() for v in col) for col in zip(*prof.eval(s))]
+    assert got == [want for _, want in PARSED_BUBBLE_PINS]
+
 
 BYARG_SOURCES = {
     "bubble_set": lambda: catalog("bubble_set", 1.0),
@@ -351,7 +395,7 @@ def test_reparam_arg_residual_at_rounding_level(name):
     rc = reparam_by_argument(catalog(name, 1.0))
     beta = band_samples(10 ** 5, seed=12)
     f, _, _, g, _, _ = rc.eval(beta)
-    assert np.max(np.abs(arg_band(-f * f + 1j * g) - beta)) <= 4e-15
+    assert np.max(np.abs(band_atan2(g, -f * f) - beta)) <= 4e-15
 
 
 @pytest.mark.parametrize("name", sorted(BYARG_SOURCES))
@@ -382,7 +426,7 @@ def test_reparam_seed_builds_where_ds_dbeta_is_infinite():
         name="flat middle"))
     beta = math.pi + np.array([-2e-11, -1e-12, 1e-12, 2e-11, 0.4])
     f, _, _, g, _, _ = rc.eval(beta)
-    assert np.max(np.abs(arg_band(-f * f + 1j * g) - beta)) <= 4e-15
+    assert np.max(np.abs(band_atan2(g, -f * f) - beta)) <= 4e-15
 
 
 @pytest.mark.parametrize("name", sorted(BYARG_SOURCES) + sorted(BOUNDED_RATE_SOURCES))
