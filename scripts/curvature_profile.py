@@ -23,11 +23,11 @@ def main():
     args = ap.parse_args()
 
     for name in CATALOG_NAMES:
-        patch = sf.SurfacePatch(catalog(name, args.R))
-        lo, hi = patch.profile.domain
+        profile = catalog(name, args.R)
+        lo, hi = profile.domain
         svals = lo + (hi - lo) * np.arange(1, args.n + 1) / (args.n + 1)
-        f, _, _, g, _, _ = patch.profile.eval(svals)
-        hh = sf.mean_curvature(patch, svals)
+        f, _, _, g, _, _ = profile.eval(svals)
+        hh = sf.mean_curvature(profile, svals)
         path = f"curvature_{name}.csv"
         with open(path, "w", newline="") as fh:
             fh.write("s,f,g,Hh\r\n")

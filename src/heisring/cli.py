@@ -116,22 +116,25 @@ def cmd_modulus(args) -> int:
         raise UsageError(f"--tol must be positive and finite, got {args.tol:g}")
     if args.curves is not None and args.curves < 1:
         raise UsageError(f"--curves must be at least 1, got {args.curves}")
-    if not 0 <= args.seed <= 2 ** 128 - (args.curves or 1):  # the N seeds are Philox keys
-        raise UsageError(f"--seed must be in [0, 2**128 - N] with --curves N, got {args.seed}")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    if not 0 <= seed <= 2 ** 128 - (args.curves or 1):  # the N seeds are Philox keys
+        raise UsageError(f"--seed must be in [0, 2**128 - N] with --curves N, got {seed}")
+    if args.seed is not None and args.curves is None and not args.oracle:
+        raise UsageError("--seed seeds only --curves and --oracle; pass one of them")
     _require_grid(args)
     curve, name = _resolve_profile(args)
     ring = modulus_mod.make_ring(curve, args.a, args.b, grid_n=args.grid)
     report = modulus_mod.modulus_report(
         ring, name,
         curve_count=args.curves if args.curves is not None else 0,
-        seed=args.seed,
+        seed=seed,
         oracle_bins=64 if args.oracle else 0,
         tol=min(args.tol, 1e-9),
     )
     adm, oracle = report.get("admissibility"), report.get("oracle")
     settings = {"tol": f"{args.tol:g}"}
     if adm is not None or oracle is not None:  # only the curves and the oracle use the seed
-        settings["seed"] = args.seed
+        settings["seed"] = seed
     settings["curves"] = adm["n"] if adm is not None else 0
     settings["resolution"] = FAMILY_RESOLUTION if adm is not None else 0  # samples per curve
     if args.json:
@@ -168,7 +171,7 @@ def _require_positive(args, *flags):
 
 
 def cmd_geometry(args) -> int:
-    _require_positive(args, "scale", "resolution")
+    _require_positive(args, "resolution")
     curve, name = _resolve_profile(args)
     lo, hi = curve.domain
     span = (lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo))
@@ -180,23 +183,22 @@ def cmd_geometry(args) -> int:
             raise UsageError(f"--flow expects 's0,phi0', got {args.flow!r}")
         if not span[0] <= s0 <= span[1]:
             raise UsageError(f"--flow anchor {s0:g} outside the flow span {span}")
-    patch = surface_mod.SurfacePatch(curve, scale=args.scale)
-    area = surface_mod.horizontal_area(patch)
+    area = surface_mod.horizontal_area(curve)
     n = args.resolution
     s_vals = lo + (hi - lo) * np.arange(1, n + 1) / (n + 1)
     f, _, _, g, _, _ = curve.eval(s_vals)
-    nh = np.hypot(*surface_mod.horizontal_normal_components(patch, s_vals, 0.0))
-    hh = surface_mod.mean_curvature(patch, s_vals)
+    nh = np.hypot(*surface_mod.horizontal_normal_components(curve, s_vals, 0.0))
+    hh = surface_mod.mean_curvature(curve, s_vals)
     csv_path = args.csv or f"{name.replace('/', '_')}_geometry.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write("s,f,g,Nh_norm,Hh\r\n")
         surface_mod.write_rows(fh, ",".join(["%.17g"] * 5) + "\r\n",
                                np.column_stack((s_vals, f, g, nh, hh)))
-    _header(scale=f"{args.scale:g}", resolution=n)
+    _header(resolution=n)
     rows = [("surface", name), ("horizontal area", f"{area:.12g}"),
             ("geometry csv", csv_path)]
     if args.flow is not None:
-        flow = surface_mod.flow_curve(patch, s0, phi0, span, n=n)
+        flow = surface_mod.flow_curve(curve, s0, phi0, span, n=n)
         flow_path = csv_path.rsplit(".", 1)[0] + "_flow.csv"
         flow.export_csv(flow_path)
         rows += [("flow csv", flow_path), ("flow residual", f"{flow.residual:.3e}")]
@@ -205,13 +207,12 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    _require_positive(args, "scale", "ns", "nphi")
+    _require_positive(args, "ns", "nphi")
     curve, name = _resolve_profile(args)
-    patch = surface_mod.SurfacePatch(curve, scale=args.scale)
     out = args.out or f"{name.replace('/', '_')}.obj"
-    obj_path, csv_path = surface_mod.export_mesh(patch, out, args.csv,
+    obj_path, csv_path = surface_mod.export_mesh(curve, out, args.csv,
                                                  n_s=args.ns, n_phi=args.nphi)
-    _header(scale=f"{args.scale:g}", ns=args.ns, nphi=args.nphi)
+    _header(ns=args.ns, nphi=args.nphi)
     _print_table([("surface", name), ("obj", obj_path), ("csv", csv_path),
                   ("vertices", str(args.ns * args.nphi))])
     return 0
@@ -233,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_patch(p):
         add_profile(p)
-        p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--csv", metavar="PATH")
 
     p = sub.add_parser("validate", help="check profile admissibility conditions")
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--json", action="store_true")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--curves", type=int, metavar="N",

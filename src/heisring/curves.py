@@ -26,7 +26,7 @@ from .profiles import BAND_MARGIN, BETA_HI, BETA_LO
 from .surface import write_rows
 
 DEFAULT_RESOLUTION = 1024
-FAMILY_RESOLUTION = 256  # samples per curve of random_family
+FAMILY_RESOLUTION = 256  # samples per curve of random_family and quasiradial_family
 CHUNK_POINTS = 2 ** 14  # samples per p* or density call; chunks hold whole curves
 N_MODES = 4  # Fourier modes of a random curve's xi warp and beta path
 REFINE = 4  # a random curve's phase is integrated on a REFINE x finer grid
@@ -180,7 +180,7 @@ def quasiradial(ring, beta, phi0, n: int = DEFAULT_RESOLUTION):
 
 
 def quasiradial_family(ring, n_beta: int = 64, n_phi: int = 64,
-                       n: int = 256) -> CurveFamily:
+                       n: int = FAMILY_RESOLUTION) -> CurveFamily:
     """Quasiradials on a regular interior (beta, phi) grid, beta-major."""
     betas = BETA_LO + (BETA_HI - BETA_LO) * (np.arange(1, n_beta + 1)) / (n_beta + 1)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi

@@ -318,8 +318,7 @@ def quasiradial_angle(ring: RevolutionRing, q: revcoords.RevPoint) -> float:
     tangent = np.array([dz.real, dz.imag])
     # horizontal normal of the leaf S_xi at q, the profile dilated by e^xi,
     # which points as the undilated one does
-    leaf = surface_mod.SurfacePatch(ring.profile)
-    normal = np.array(surface_mod.horizontal_normal_components(leaf, q.beta, q.phi))
+    normal = np.array(surface_mod.horizontal_normal_components(ring.profile, q.beta, q.phi))
 
     cos_num = float(tangent @ normal) / (
         float(np.hypot(*tangent)) * float(np.hypot(*normal)))

@@ -1,13 +1,14 @@
-"""Surfaces of revolution as patches sigma(s, phi) with horizontal geometry.
+"""Surfaces of revolution sigma(s, phi) = (f(s) e^(i phi), g(s)) of a ProfileCurve.
 
-Covers the Euclidean and horizontal normals, horizontal area, the Legendrian
-foliation (flow curves), the horizontal mean curvature, and mesh export.
+Every function takes the profile itself, so a dilated surface is a dilated
+profile, as ``catalog(name, R)`` builds it. Covers the horizontal normal,
+horizontal area, the Legendrian foliation (flow curves), the horizontal mean
+curvature, and mesh export.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -19,67 +20,53 @@ class CurvatureError(ArithmeticError):
     """Mean curvature undefined: dp* = 0 or f = 0 at the point."""
 
 
-@dataclass(frozen=True)
-class SurfacePatch:
-    """Revolution surface patch (s, phi) -> D_scale(f(s) e^(i phi), g(s))."""
-
-    profile: ProfileCurve
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+def patch_xyz(profile: ProfileCurve, s, phi):
+    """Vectorized patch evaluation; returns (z, t) = sigma(s, phi)."""
+    f, _, _, g, _, _ = profile.eval(s)
+    return f * np.exp(1j * np.asarray(phi)), g
 
 
-def patch_xyz(surface: SurfacePatch, s, phi):
-    """Vectorized patch evaluation; returns (z, t) after dilation."""
-    f, _, _, g, _, _ = surface.profile.eval(s)
-    d = surface.scale
-    return d * f * np.exp(1j * np.asarray(phi)), d * d * g
-
-
-def horizontal_normal_components(surface: SurfacePatch, s, phi):
+def horizontal_normal_components(profile: ProfileCurve, s, phi):
     """(nu_X, nu_Y) components of N^h at sigma(s, phi), vectorized."""
-    values = surface.profile.eval(s)
-    f, d = values[0], surface.scale
-    dps = d * d * _image(values)[1]  # dp* of the dilated profile
-    w = np.exp(1j * np.asarray(phi)) * dps
-    return -d * f * np.imag(w), d * f * np.real(w)
+    values = profile.eval(s)
+    f = values[0]
+    w = np.exp(1j * np.asarray(phi)) * _image(values)[1]
+    return -f * np.imag(w), f * np.real(w)
 
 
 AREA_TOL = 1e-10  # relative tolerance of the horizontal-area quadrature
 AREA_LIMIT = 200  # subinterval limit of the horizontal-area quadrature
 
 
-def horizontal_area(surface: SurfacePatch) -> float:
-    """Horizontal area 2 pi int Re^(1/2)(-p*) |dp*| ds, scaling as scale^3.
+def horizontal_area(profile: ProfileCurve) -> float:
+    """Horizontal area 2 pi int Re^(1/2)(-p*) |dp*| ds.
 
     The integrand can have integrable square-root endpoint singularities;
     adaptive open quadrature reports its error estimate and fails loudly if
     it exceeds 100 AREA_TOL relative.
     """
-    lo, hi = surface.profile.domain
+    lo, hi = profile.domain
 
     def integrand(s):
-        ps, dps = koranyi_image(surface.profile, s)
+        ps, dps = koranyi_image(profile, s)
         return math.sqrt(float(np.real(-ps))) * float(np.abs(dps))
 
     val, err = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=AREA_TOL,
                                     limit=AREA_LIMIT)
     if abs(err) > max(100.0 * AREA_TOL * abs(val), 1e-12):
         raise RuntimeError(f"area quadrature error estimate {err:.3e} too large")
-    return 2.0 * math.pi * val * surface.scale ** 3
+    return 2.0 * math.pi * val
 
 
-def flow_phase_rate(surface: SurfacePatch, s):
+def flow_phase_rate(profile: ProfileCurve, s):
     """d phi / d s along the Legendrian foliation: Im dp* / (2 Re p*)."""
-    ps, dps = koranyi_image(surface.profile, s)
+    ps, dps = koranyi_image(profile, s)
     if np.any(np.real(ps) == 0):
         raise ZeroDivisionError("flow integrand blows up: Re p* = 0 inside span")
     return phase_rate(ps, dps)
 
 
-def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
+def flow_curve(profile: ProfileCurve, s0: float, phi0: float,
                span: tuple[float, float], n: int = 1024):
     """Integral curve of the horizontal flow through sigma(s0, phi0).
 
@@ -88,13 +75,13 @@ def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
     """
     from .curves import HorizontalCurve  # local import to avoid a cycle
 
-    lo, hi = surface.profile.domain
+    lo, hi = profile.domain
     a, b = span
     if not (lo < a <= s0 <= b < hi):
         raise ValueError(f"span {span} with anchor {s0} not inside profile domain")
     s_samples = np.linspace(a, b, n + 1)
     phi = np.empty_like(s_samples)
-    rhs = lambda s, _y: float(flow_phase_rate(surface, s))
+    rhs = lambda s, _y: float(flow_phase_rate(profile, s))
     if a == b:
         phi[:] = phi0
     else:
@@ -108,32 +95,29 @@ def flow_curve(surface: SurfacePatch, s0: float, phi0: float,
                     raise RuntimeError(f"flow integration failed: {sol.message}")
                 phi[side] = sol.y[0][::order]
 
-    f, fd, _, g, gd, _ = surface.profile.eval(s_samples)
-    d = surface.scale
-    dphi = np.asarray(flow_phase_rate(surface, s_samples))
-    z = d * f * np.exp(1j * phi)
-    t = d * d * g
-    dz = d * (fd + 1j * f * dphi) * np.exp(1j * phi)
-    dt = d * d * gd
-    return HorizontalCurve.from_samples(s_samples, z, t, dz, dt)
+    f, fd, _, g, gd, _ = profile.eval(s_samples)
+    dphi = np.asarray(flow_phase_rate(profile, s_samples))
+    z = f * np.exp(1j * phi)
+    dz = (fd + 1j * f * dphi) * np.exp(1j * phi)
+    return HorizontalCurve.from_samples(s_samples, z, g, dz, gd)
 
 
-def mean_curvature(surface: SurfacePatch, s):
+def mean_curvature(profile: ProfileCurve, s):
     """Horizontal mean curvature H^h(s); independent of phi.
 
     With dp* = a + ib and d^2p* = c + id (derivatives in s),
-    H^h = (-b / (|dp*| f) + 2 f (ad - bc) / |dp*|^3) / scale, defined wherever
+    H^h = -b / (|dp*| f) + 2 f (ad - bc) / |dp*|^3, defined wherever
     dp* != 0 and f != 0. ``s`` is a number or an array; where H^h is undefined
     an array holds ``nan`` and a number raises CurvatureError.
     """
-    values = surface.profile.eval(np.atleast_1d(np.asarray(s, dtype=float)))
+    values = profile.eval(np.atleast_1d(np.asarray(s, dtype=float)))
     f, fd, fdd, _, _, gdd = values
     dps = _image(values)[1]
     a, b = np.real(dps), np.imag(dps)
     c, d = -2.0 * (fd * fd + f * fdd), gdd
     m = np.abs(dps)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (-b / (m * f) + 2.0 * f * (a * d - b * c) / m ** 3) / surface.scale
+        out = -b / (m * f) + 2.0 * f * (a * d - b * c) / m ** 3
     out = np.where(np.isfinite(out), out, np.nan)
     if np.ndim(s) > 0:
         return out
@@ -152,7 +136,7 @@ def write_rows(fh, fmt: str, rows):
         fh.write("".join(fmt % tuple(r) for r in rows[i:i + 1024].tolist()))
 
 
-def export_mesh(surface: SurfacePatch, obj_path: str, csv_path: str | None = None,
+def export_mesh(profile: ProfileCurve, obj_path: str, csv_path: str | None = None,
                 n_s: int = 128, n_phi: int = 64) -> tuple[str, str]:
     """Write a triangulated (s, phi) grid as Wavefront OBJ plus a sidecar CSV.
 
@@ -160,15 +144,15 @@ def export_mesh(surface: SurfacePatch, obj_path: str, csv_path: str | None = Non
     CSV carries per-vertex horizontal-normal norm and mean curvature (``nan``
     where it is undefined: dp* = 0 or f = 0).
     """
-    lo, hi = surface.profile.domain
+    lo, hi = profile.domain
     s_vals = lo + (hi - lo) * (np.arange(1, n_s + 1)) / (n_s + 1)
     phi_vals = 2.0 * math.pi * np.arange(n_phi) / n_phi
 
     ss, pp = (a.ravel() for a in np.meshgrid(s_vals, phi_vals, indexing="ij"))
-    z, t = patch_xyz(surface, s_vals[:, None], phi_vals)  # the profile is evaluated per s
+    z, t = patch_xyz(profile, s_vals[:, None], phi_vals)  # the profile is evaluated per s
     z, t = z.ravel(), np.repeat(t, n_phi)
-    nh = np.hypot(*horizontal_normal_components(surface, s_vals[:, None], phi_vals)).ravel()
-    hh = mean_curvature(surface, s_vals)
+    nh = np.hypot(*horizontal_normal_components(profile, s_vals[:, None], phi_vals)).ravel()
+    hh = mean_curvature(profile, s_vals)
 
     # a, b: 1-based indices of vertices (i, j), (i, j + 1); quad (a, b, b + n_phi, a + n_phi)
     j = np.arange(n_phi)

@@ -134,9 +134,9 @@ def test_05_coordinate_system(capsys, rings):
 def test_06_horizontality(capsys, rings):
     worst_res = 0.0
     for name, ring in rings.items():
-        patch = sf.SurfacePatch(catalog(name, 1.0))
-        lo, hi = patch.profile.domain
-        flow = sf.flow_curve(patch, 0.5 * (lo + hi), 0.1,
+        profile = catalog(name, 1.0)
+        lo, hi = profile.domain
+        flow = sf.flow_curve(profile, 0.5 * (lo + hi), 0.1,
                              (lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo)))
         quasi = cv.quasiradial(ring, 2.5, 0.3)
         rand = cv.random_horizontal_curve(ring, seed=6)
@@ -165,11 +165,11 @@ def test_06_horizontality(capsys, rings):
            f"speed vs finite differences {worst_speed:.2e} (<= 1e-6)")
 
 
-def _projected_curvature(patch, s0):
+def _projected_curvature(profile, s0):
     """Signed curvature of the planar projection of the flow curve at s0."""
-    lo, hi = patch.profile.domain
+    lo, hi = profile.domain
     span = (s0 - 0.005 * (hi - lo), s0 + 0.005 * (hi - lo))
-    curve = sf.flow_curve(patch, s0, 0.0, span, n=32)
+    curve = sf.flow_curve(profile, s0, 0.0, span, n=32)
     i = curve.tau.size // 2
     h = curve.tau[1] - curve.tau[0]
     dz = curve.dz[i]
@@ -183,19 +183,19 @@ def _projected_curvature(patch, s0):
 def test_07_curvature_equivalence(capsys):
     worst = 0.0
     for name in SURFACES:
-        patch = sf.SurfacePatch(catalog(name, 1.0))
-        lo, hi = patch.profile.domain
+        profile = catalog(name, 1.0)
+        lo, hi = profile.domain
         for s in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 100):
-            want = _projected_curvature(patch, float(s))
-            got = sf.mean_curvature(patch, float(s))
+            want = _projected_curvature(profile, float(s))
+            got = sf.mean_curvature(profile, float(s))
             worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
     equiv_ok = worst <= 1e-3
 
     # lifted-circle clause: compare H^h(k) on the catalog surface against k
-    patch = sf.SurfacePatch(catalog("cc_sphere", 1.0))
+    profile = catalog("cc_sphere", 1.0)
     cc_worst = 0.0
     for k in (0.2, -0.2, 1.0, -1.0, 2.0, -2.0):
-        got = sf.mean_curvature(patch, k)
+        got = sf.mean_curvature(profile, k)
         cc_worst = max(cc_worst, abs(got - k) / abs(k))
     cc_ok = cc_worst <= 1e-3
     ok = equiv_ok and cc_ok
@@ -212,11 +212,11 @@ def test_08_horizontal_area(capsys):
     oracle, _ = si.quad(lambda u: math.sqrt(math.sin(u)), 0.0, math.pi,
                         epsabs=0.0, epsrel=1e-12)
     oracle *= 2.0 * math.pi
-    got = sf.horizontal_area(sf.SurfacePatch(catalog("koranyi_sphere", 1.0)))
+    got = sf.horizontal_area(catalog("koranyi_sphere", 1.0))
     rel = abs(got - oracle) / oracle
     scale_err = 0.0
     for R in (0.5, 1.7, 3.0):
-        scaled = sf.horizontal_area(sf.SurfacePatch(catalog("koranyi_sphere", R)))
+        scaled = sf.horizontal_area(catalog("koranyi_sphere", R))
         scale_err = max(scale_err, abs(scaled - R ** 3 * got) / (R ** 3 * got))
     ok = rel <= 1e-6 and scale_err <= 1e-10
     report(capsys, 8, ok,

@@ -137,6 +137,8 @@ def test_modulus_header_resolution_is_what_ran(monkeypatch, capsys, extra):
     ("validate", "--surface", "koranyi", "--tol", "1e-3"),
     ("geometry", "--surface", "koranyi", "--seed", "3"),
     ("export-mesh", "--surface", "koranyi", "--grid", "64"),
+    ("geometry", "--surface", "koranyi", "--scale", "2"),
+    ("export-mesh", "--surface", "koranyi", "--scale", "2"),
 ])
 def test_flags_a_subcommand_ignores_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -153,10 +155,10 @@ def test_header_lists_only_settings_that_ran(tmp_path, capsys):
     assert out.splitlines()[0] == "# tol=1e-08 seed=0 curves=0 resolution=0"
     _, out, _ = run(capsys, "geometry", "--surface", "koranyi", "--resolution", "8",
                     "--csv", str(tmp_path / "g.csv"))
-    assert out.splitlines()[0] == "# scale=1 resolution=8"
+    assert out.splitlines()[0] == "# resolution=8"
     _, out, _ = run(capsys, "export-mesh", "--surface", "koranyi", "--ns", "4",
-                    "--nphi", "4", "--scale", "2", "--out", str(tmp_path / "m.obj"))
-    assert out.splitlines()[0] == "# scale=2 ns=4 nphi=4"
+                    "--nphi", "4", "--R", "2", "--out", str(tmp_path / "m.obj"))
+    assert out.splitlines()[0] == "# ns=4 nphi=4"
 
 
 def test_modulus_with_curves_and_oracle(capsys):
@@ -220,6 +222,7 @@ def test_modulus_reversed_bounds_usage_error(capsys):
     (["--curves", "-5"], "--curves must be at least 1, got -5"),
     (["--b", "inf"], "--a and --b need 0 < a < b < inf, got a=1.0, b=inf"),
     (["--a", "nan"], "--a and --b need 0 < a < b < inf, got a=nan, b=2.0"),
+    (["--seed", "5"], "--seed seeds only --curves and --oracle"),
 ])
 def test_modulus_flags_that_cannot_run_are_usage_errors(monkeypatch, capsys, extra, message):
     # each is rejected before any computation starts
@@ -282,15 +285,26 @@ def test_geometry_area_homogeneity(tmp_path, capsys):
     assert area(out2) == pytest.approx(8.0 * area(out1), rel=1e-9)
 
 
+def test_geometry_csv_columns_describe_one_dilated_surface(tmp_path, capsys):
+    # the Koranyi sphere of radius 2: f^4 + g^2 = 2^4 and H^h = 3 sqrt(-cos s) / 2
+    path = tmp_path / "k2.csv"
+    code, _, err = run(capsys, "geometry", "--surface", "koranyi", "--R", "2",
+                       "--resolution", "16", "--csv", str(path))
+    assert code == 0, err
+    rows = [[float(v) for v in ln.split(",")] for ln in path.read_text().splitlines()[1:]]
+    assert len(rows) == 16
+    for s, f, g, _, hh in rows:
+        assert f ** 4 + g ** 2 == pytest.approx(16.0, rel=1e-12)
+        assert hh == pytest.approx(1.5 * math.sqrt(-math.cos(s)), rel=1e-9)
+
+
 @pytest.mark.parametrize("argv", [
     ("geometry", "--surface", "koranyi", "--resolution", "0"),
     ("geometry", "--surface", "koranyi", "--resolution", "-3"),
-    ("geometry", "--surface", "koranyi", "--scale", "0"),
     ("geometry", "--surface", "koranyi", "--flow", "1.0,0.0"),
     ("export-mesh", "--surface", "koranyi", "--ns", "0"),
     ("export-mesh", "--surface", "koranyi", "--nphi", "0"),
     ("export-mesh", "--surface", "koranyi", "--ns", "-2"),
-    ("export-mesh", "--surface", "koranyi", "--scale", "0"),
 ])
 def test_bad_geometry_and_mesh_flags_are_usage_errors(tmp_path, capsys, argv):
     # rejected before any file is written; koranyi's flow span excludes s0 = 1
@@ -314,10 +328,10 @@ def test_export_mesh_default_grid(tmp_path, capsys):
 
 def test_export_mesh_scale_extents(tmp_path, capsys):
     paths = []
-    for scale in ("1", "2"):
-        p = tmp_path / f"m{scale}.obj"
+    for R in ("1", "2"):
+        p = tmp_path / f"m{R}.obj"
         run(capsys, "export-mesh", "--surface", "koranyi", "--out", str(p),
-            "--ns", "16", "--nphi", "8", "--scale", scale)
+            "--ns", "16", "--nphi", "8", "--R", R)
         paths.append(p)
 
     def extents(path):

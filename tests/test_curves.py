@@ -145,7 +145,7 @@ def test_line_integral_of_one_is_length():
 
 def test_export_csv(tmp_path):
     quasi = cv.quasiradial(RING, 2.0, 0.0, n=16)
-    flow = sf.flow_curve(sf.SurfacePatch(catalog("koranyi_sphere", 1.0)), 3.0, 0.0,
+    flow = sf.flow_curve(catalog("koranyi_sphere", 1.0), 3.0, 0.0,
                          (2.9, 3.1), n=16)
     assert quasi.xi is not None and flow.xi is None
     for curve in (quasi, flow):

@@ -9,17 +9,16 @@ from heisring import surface as sf
 from heisring.cli import main
 from heisring.heis import HPoint, TangentVector, contact_eval
 from heisring.profiles import BETA_HI, BETA_LO, catalog, koranyi_image, parse_profile
-from heisring.surface import SurfacePatch
 
-KORANYI = SurfacePatch(catalog("koranyi_sphere", 1.0))
-BUBBLE = SurfacePatch(catalog("bubble_set", 1.0))
-CC = SurfacePatch(catalog("cc_sphere", 1.0))
+KORANYI = catalog("koranyi_sphere", 1.0)
+BUBBLE = catalog("bubble_set", 1.0)
+CC = catalog("cc_sphere", 1.0)
 
 AREA_KORANYI_R1 = 15.05627423766275  # 2 pi * quad of sqrt(sin u) on (0, pi)
 
 
-def interior_grid(patch, n=64, margin=0.05):
-    lo, hi = patch.profile.domain
+def interior_grid(profile, n=64, margin=0.05):
+    lo, hi = profile.domain
     return np.linspace(lo + margin * (hi - lo), hi - margin * (hi - lo), n)
 
 
@@ -30,34 +29,34 @@ def test_patch_eval_koranyi():
 
 
 def test_scale_acts_as_dilation():
-    big = SurfacePatch(catalog("bubble_set", 1.0), scale=2.0)
+    # the bubble of radius 2 at s is the unit bubble at s/2, dilated by 2
     s, phi = np.array([0.4, 1.0, 5.5]), np.array([0.7, 0.7, 3.0])
-    small_z, small_t = sf.patch_xyz(BUBBLE, s, phi)
-    scaled_z, scaled_t = sf.patch_xyz(big, s, phi)
+    small_z, small_t = sf.patch_xyz(BUBBLE, s / 2.0, phi)
+    scaled_z, scaled_t = sf.patch_xyz(catalog("bubble_set", 2.0), s, phi)
     assert scaled_z == pytest.approx(2.0 * small_z)
     assert scaled_t == pytest.approx(4.0 * small_t)
 
 
 def test_characteristic_locus_empty():
-    for patch in (KORANYI, BUBBLE, CC):
-        ss = interior_grid(patch, 256, margin=0.01)
+    for profile in (KORANYI, BUBBLE, CC):
+        ss = interior_grid(profile, 256, margin=0.01)
         pp = 2 * math.pi * np.arange(64) / 64
         s2, p2 = np.meshgrid(ss, pp, indexing="ij")
-        n1, n2 = sf.horizontal_normal_components(patch, s2.ravel(), p2.ravel())
+        n1, n2 = sf.horizontal_normal_components(profile, s2.ravel(), p2.ravel())
         assert float(np.min(np.hypot(n1, n2))) > 0.0
 
 
 def test_horizontal_normal_orthogonal_to_foliation():
     # the Legendrian flow direction is horizontal and tangent to the surface,
     # so N^h annihilates it
-    for patch in (KORANYI, BUBBLE, CC):
-        lo, hi = patch.profile.domain
+    for profile in (KORANYI, BUBBLE, CC):
+        lo, hi = profile.domain
         s0 = lo + 0.37 * (hi - lo)
         span = (s0 - 0.01 * (hi - lo), s0 + 0.01 * (hi - lo))
-        curve = sf.flow_curve(patch, float(s0), 0.4, span, n=16)
+        curve = sf.flow_curve(profile, float(s0), 0.4, span, n=16)
         i = curve.tau.size // 2
         phi = float(np.angle(curve.z[i]))
-        n1, n2 = sf.horizontal_normal_components(patch, float(curve.tau[i]), phi)
+        n1, n2 = sf.horizontal_normal_components(profile, float(curve.tau[i]), phi)
         dz = curve.dz[i]
         inner = float(n1) * dz.real + float(n2) * dz.imag
         scale = float(np.hypot(n1, n2)) * abs(dz)
@@ -67,13 +66,13 @@ def test_horizontal_normal_orthogonal_to_foliation():
 def test_induced_form_matches_contact_eval():
     # omega restricted to the surface: Im(dp*) ds - 2 Re(p*) dphi... evaluated
     # as contact_eval on pushed-forward basis vectors
-    patch = CC
+    profile = CC
     h = 1e-7
-    for s in interior_grid(patch, 9):
-        ps, dps = koranyi_image(patch.profile, float(s))
+    for s in interior_grid(profile, 9):
+        ps, dps = koranyi_image(profile, float(s))
         for phi in (0.0, 1.1):
             # the point, then steps +-h in s and in phi
-            z, t = sf.patch_xyz(patch, s + np.array([0.0, h, -h, 0.0, 0.0]),
+            z, t = sf.patch_xyz(profile, s + np.array([0.0, h, -h, 0.0, 0.0]),
                                 phi + np.array([0.0, 0.0, 0.0, h, -h]))
             dz, dt = (z[1::2] - z[2::2]) / (2 * h), (t[1::2] - t[2::2]) / (2 * h)
             base = HPoint(complex(z[0]), float(t[0]))
@@ -101,38 +100,32 @@ def test_bubble_area_closed_form():
 @pytest.mark.parametrize("R", [0.5, 2.0])
 def test_area_scales_as_R_cubed(R):
     base = sf.horizontal_area(KORANYI)
-    scaled = sf.horizontal_area(SurfacePatch(catalog("koranyi_sphere", R)))
+    scaled = sf.horizontal_area(catalog("koranyi_sphere", R))
     assert scaled == pytest.approx(R ** 3 * base, rel=1e-10)
-
-
-def test_area_scale_parameter_matches_radius():
-    a = sf.horizontal_area(SurfacePatch(catalog("koranyi_sphere", 1.0), scale=1.7))
-    b = sf.horizontal_area(SurfacePatch(catalog("koranyi_sphere", 1.7)))
-    assert a == pytest.approx(b, rel=1e-10)
 
 
 # -- foliation ----------------------------------------------------------------
 
 
 def test_flow_curves_are_horizontal():
-    for patch in (KORANYI, BUBBLE, CC):
-        lo, hi = patch.profile.domain
+    for profile in (KORANYI, BUBBLE, CC):
+        lo, hi = profile.domain
         s0 = 0.5 * (lo + hi)
         span = (lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-        curve = sf.flow_curve(patch, s0, 0.25, span, n=512)
+        curve = sf.flow_curve(profile, s0, 0.25, span, n=512)
         assert curve.residual < 1e-10
 
 
 def test_flow_curve_stays_on_surface():
-    patch = BUBBLE
-    curve = sf.flow_curve(patch, 3.0, 0.0, (0.5, 5.5), n=256)
-    f, _, _, g, _, _ = patch.profile.eval(curve.tau)
+    profile = BUBBLE
+    curve = sf.flow_curve(profile, 3.0, 0.0, (0.5, 5.5), n=256)
+    f, _, _, g, _, _ = profile.eval(curve.tau)
     assert np.max(np.abs(np.abs(curve.z) - f)) < 1e-12
     assert np.max(np.abs(curve.t - g)) < 1e-12
 
 
-def _cli_span(patch):
-    lo, hi = patch.profile.domain
+def _cli_span(profile):
+    lo, hi = profile.domain
     return lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)
 
 
@@ -147,10 +140,10 @@ def _phase_error(curve, phase):
 @pytest.mark.parametrize("n", [16, 1024])
 def test_flow_phase_is_linear_on_koranyi_and_bubble(name, rate, R, n):
     # the contact residual cannot see phi; here Im dp* / (2 Re p*) is constant
-    patch = SurfacePatch(catalog(name, R))
-    span = _cli_span(patch)
+    profile = catalog(name, R)
+    span = _cli_span(profile)
     s0, phi0 = 0.4 * span[0] + 0.6 * span[1], 0.25
-    curve = sf.flow_curve(patch, s0, phi0, span, n=n)
+    curve = sf.flow_curve(profile, s0, phi0, span, n=n)
     assert _phase_error(curve, phi0 + rate(R) * (curve.tau - s0)) <= 1e-9
 
 
@@ -176,19 +169,19 @@ def test_flow_span_must_contain_anchor():
 
 def test_bubble_mean_curvature_constant():
     for R in (1.0, 2.0):
-        patch = SurfacePatch(catalog("bubble_set", R))
-        for s in interior_grid(patch, 17):
-            assert sf.mean_curvature(patch, float(s)) == pytest.approx(1.0 / R,
+        profile = catalog("bubble_set", R)
+        for s in interior_grid(profile, 17):
+            assert sf.mean_curvature(profile, float(s)) == pytest.approx(1.0 / R,
                                                                        rel=1e-9)
 
 
 def test_koranyi_mean_curvature_closed_form():
     # 3 sqrt(-cos beta) / R, the equator beta = pi (where fd = 0) included
     for R in (1.0, 1.5):
-        patch = SurfacePatch(catalog("koranyi_sphere", R))
+        profile = catalog("koranyi_sphere", R)
         for beta in np.linspace(BETA_LO + 0.2, BETA_HI - 0.2, 13):
             want = 3.0 * math.sqrt(-math.cos(beta)) / R
-            assert sf.mean_curvature(patch, float(beta)) == pytest.approx(
+            assert sf.mean_curvature(profile, float(beta)) == pytest.approx(
                 want, rel=1e-8)
 
 
@@ -200,34 +193,34 @@ def test_koranyi_equator_is_finite_where_fd_vanishes():
 def test_mean_curvature_matches_projected_curvature_oracle():
     # signed curvature of the planar projection of the flow curve, computed
     # by finite differences of an independently integrated flow
-    for patch in (KORANYI, BUBBLE):
-        lo, hi = patch.profile.domain
+    for profile in (KORANYI, BUBBLE):
+        lo, hi = profile.domain
         for frac in (0.3, 0.62):
             s0 = lo + frac * (hi - lo)
             span = (s0 - 0.01 * (hi - lo), s0 + 0.01 * (hi - lo))
-            curve = sf.flow_curve(patch, float(s0), 0.0, span, n=64)
+            curve = sf.flow_curve(profile, float(s0), 0.0, span, n=64)
             i = curve.tau.size // 2
             dz = curve.dz[i]
             h = curve.tau[1] - curve.tau[0]
             ddz = (curve.dz[i + 1] - curve.dz[i - 1]) / (2 * h)
             kappa = float(np.imag(np.conj(dz) * ddz) / np.abs(dz) ** 3)
-            assert sf.mean_curvature(patch, float(s0)) == pytest.approx(
+            assert sf.mean_curvature(profile, float(s0)) == pytest.approx(
                 kappa, rel=1e-4)
 
 
-def _scalar_or_nan(patch, s):
+def _scalar_or_nan(profile, s):
     try:
-        return sf.mean_curvature(patch, float(s))
+        return sf.mean_curvature(profile, float(s))
     except sf.CurvatureError:
         return math.nan
 
 
 def test_mean_curvature_array_matches_scalar_bit_for_bit():
-    for patch in (KORANYI, BUBBLE, CC):
-        s = interior_grid(patch, 257, margin=0.001)
-        got = sf.mean_curvature(patch, s)
+    for profile in (KORANYI, BUBBLE, CC):
+        s = interior_grid(profile, 257, margin=0.001)
+        got = sf.mean_curvature(profile, s)
         assert got.shape == s.shape
-        want = np.array([_scalar_or_nan(patch, v) for v in s])
+        want = np.array([_scalar_or_nan(profile, v) for v in s])
         assert np.array_equal(got, want)
         assert np.all(np.isfinite(got))
 
@@ -245,25 +238,25 @@ def test_mean_curvature_array_recovers_koranyi_equator_without_warnings():
 def test_mean_curvature_nan_in_array_where_scalar_raises():
     # fd and gd both vanish at s = 1, so dp* = 0 and H^h is undefined there:
     # it jumps from +1/sqrt(8) to -1/sqrt(8)
-    patch = SurfacePatch(parse_profile("f = 1 + (s - 1)^2/2\ng = (s - 1)^2\ndomain = (0, 2)\n"))
-    near = sf.mean_curvature(patch, np.array([1.0 - 1e-3, 1.0 + 1e-3]))
+    profile = parse_profile("f = 1 + (s - 1)^2/2\ng = (s - 1)^2\ndomain = (0, 2)\n")
+    near = sf.mean_curvature(profile, np.array([1.0 - 1e-3, 1.0 + 1e-3]))
     assert near == pytest.approx([8 ** -0.5, -(8 ** -0.5)], rel=1e-4)
     s = np.array([0.5, 1.0, 1.5])
-    got = sf.mean_curvature(patch, s)
+    got = sf.mean_curvature(profile, s)
     assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
     with pytest.raises(sf.CurvatureError):
-        sf.mean_curvature(patch, 1.0)
-    assert got[0] == sf.mean_curvature(patch, 0.5)
-    assert got[2] == sf.mean_curvature(patch, 1.5)
+        sf.mean_curvature(profile, 1.0)
+    assert got[0] == sf.mean_curvature(profile, 0.5)
+    assert got[2] == sf.mean_curvature(profile, 1.5)
 
 
 def test_mean_curvature_continuous_at_double_zero_of_fd():
     # fd = 3 (s - 1)^2 has a double zero at s = 1, but dp* = -i and f = 2
     # there, so H^h is defined and continuous: 0.5 at s = 1
-    patch = SurfacePatch(parse_profile("f = 2 + (s - 1)^3\ng = -s\ndomain = (0, 2)\n"))
-    got = sf.mean_curvature(patch, np.array([1.0 - 1e-4, 1.0, 1.0 + 1e-4]))
+    profile = parse_profile("f = 2 + (s - 1)^3\ng = -s\ndomain = (0, 2)\n")
+    got = sf.mean_curvature(profile, np.array([1.0 - 1e-4, 1.0, 1.0 + 1e-4]))
     assert got == pytest.approx([0.5096, 0.5, 0.4904], rel=1e-9)
-    assert sf.mean_curvature(patch, 1.0) == got[1]
+    assert sf.mean_curvature(profile, 1.0) == got[1]
 
 
 def test_geometry_row_at_koranyi_equator(tmp_path):
@@ -293,13 +286,12 @@ def test_export_mesh(tmp_path):
 
 
 def test_mesh_vertices_satisfy_surface_identity(tmp_path):
-    # gauge / |p*(arg alpha)|^(1/2) = scale at every vertex
+    # gauge / |p*(arg alpha)|^(1/2) = R at every vertex
     from heisring import modulus as M
     from heisring.profiles import reparam_by_argument
 
-    patch = SurfacePatch(catalog("bubble_set", 1.0), scale=2.0)
     obj = tmp_path / "scaled.obj"
-    sf.export_mesh(patch, str(obj), n_s=12, n_phi=6)
+    sf.export_mesh(catalog("bubble_set", 2.0), str(obj), n_s=12, n_phi=6)
     prof = reparam_by_argument(catalog("bubble_set", 1.0))
     ring = M.RevolutionRing(prof, 1.0, 3.0)
     for line in obj.read_text().splitlines():
