@@ -7,7 +7,7 @@ boundary-connecting horizontal curve family in a revolution ring.
 
 from .heis import HPoint, TangentVector, dist, gauge, inverse, mul
 from .modulus import (RevolutionRing, analytic_modulus, make_ring, mc_modulus,
-                      numeric_modulus, rho0, rho0_density)
+                      numeric_modulus, rho0_density)
 from .profiles import CATALOG_NAMES, ProfileCurve, catalog, parse_profile, validate
 from .surface import horizontal_area, mean_curvature
 
@@ -18,5 +18,5 @@ __all__ = [
     "ProfileCurve", "catalog", "parse_profile", "validate", "CATALOG_NAMES",
     "horizontal_area", "mean_curvature",
     "RevolutionRing", "make_ring", "analytic_modulus", "numeric_modulus",
-    "mc_modulus", "rho0", "rho0_density",
+    "mc_modulus", "rho0_density",
 ]

@@ -181,6 +181,8 @@ def cmd_geometry(args) -> int:
             s0, phi0 = float(s0_str), float(phi0_str)
         except ValueError:
             raise UsageError(f"--flow expects 's0,phi0', got {args.flow!r}")
+        if not math.isfinite(phi0):
+            raise UsageError(f"--flow phase {phi0_str!r} is not finite")
         if not span[0] <= s0 <= span[1]:
             raise UsageError(f"--flow anchor {s0:g} outside the flow span {span}")
     area = surface_mod.horizontal_area(curve)

@@ -1,14 +1,14 @@
 """Horizontal curves as first-class sampled values.
 
-A curve is stored as dense arrays of ambient samples (z, t) with derivatives
-and, when generated in revolution coordinates, the tilde samples
+A HorizontalCurve stores dense arrays of ambient samples (z, t) with
+derivatives and, when generated in revolution coordinates, the tilde samples
 (xi, beta, phi) with their derivatives. Every constructor attaches a
-horizontality residual certificate. A CurveFamily holds many curves as one
-batch of (count, n+1) arrays on a shared grid. The two generators build the
-tilde paths of their families and hand them to one lift, which forms Phi, its
-tangent and the residual. The generators, given arrays of parameters, and the
-line integral, given a family, work on whole chunks of curves, CHUNK_POINTS
-samples per call; a single curve is a family of one.
+horizontality residual certificate. The same type holds a family of many
+curves as one batch of (count, n+1) arrays on a shared grid. The two
+generators build the tilde paths of their families and hand them to one lift,
+which forms Phi, its tangent and the residual. The generators, given arrays of
+parameters, and the line integral, given a family, work on whole chunks of
+curves, CHUNK_POINTS samples per call; a single curve is a family of one.
 """
 
 from __future__ import annotations
@@ -43,27 +43,24 @@ def contact_residual(z, dz, dt):
 
 
 @dataclass(frozen=True)
-class _Samples:
+class HorizontalCurve:
+    """One curve: (n+1,) samples on the grid ``tau`` and a float residual. A
+    family of ``count`` curves on that one grid: (count, n+1) sample arrays, the
+    tilde ones included, and a residual vector; its row ``i`` is ``family[i]``,
+    the curve of views into the arrays."""
+
     tau: np.ndarray
     z: np.ndarray
     t: np.ndarray
     dz: np.ndarray
     dt: np.ndarray
-    residual: "float | np.ndarray"  # a float per curve, a vector per family
+    residual: "float | np.ndarray"
     xi: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
     phi: Optional[np.ndarray] = None
     dxi: Optional[np.ndarray] = None
     dbeta: Optional[np.ndarray] = None
     dphi: Optional[np.ndarray] = None
-
-
-TILDE = ("xi", "beta", "phi", "dxi", "dbeta", "dphi")
-
-
-@dataclass(frozen=True)
-class HorizontalCurve(_Samples):
-    """One curve: samples on the grid ``tau`` and a float residual."""
 
     @classmethod
     def from_samples(cls, tau, z, t, dz, dt, **tilde):
@@ -87,13 +84,6 @@ class HorizontalCurve(_Samples):
                        np.column_stack((self.tau, self.z.real, self.z.imag, self.t, *tilde)))
         return path
 
-
-@dataclass(frozen=True)
-class CurveFamily(_Samples):
-    """``count`` curves on one shared grid ``tau``: (count, n+1) sample arrays,
-    the six tilde ones included, and a residual vector. Row ``i`` is
-    ``family[i]``, a HorizontalCurve of views into the arrays."""
-
     def __len__(self):
         return len(self.residual)
 
@@ -107,6 +97,9 @@ class CurveFamily(_Samples):
         return (self[i] for i in range(len(self)))
 
 
+TILDE = ("xi", "beta", "phi", "dxi", "dbeta", "dphi")
+
+
 def _row_chunks(rows: int, width: int):
     """Slices of whole rows, each at most CHUNK_POINTS samples (one row at least)."""
     step = max(1, CHUNK_POINTS // width)
@@ -118,11 +111,11 @@ def line_integral(rho, curve, with_error: bool = False):
 
     ``rho`` is a vectorized callable rho(z, t) >= 0, called once per chunk of
     whole curves. Composite Simpson with the step of the shared uniform grid;
-    the error estimate compares with half resolution. A HorizontalCurve gives
-    a float, a CurveFamily an array of one value per row; ``with_error``
-    returns the pair (values, error estimates).
+    the error estimate compares with half resolution. One curve gives a float,
+    a family an array of one value per row; ``with_error`` returns the pair
+    (values, error estimates). A residual above 1e-6, or nan, is rejected.
     """
-    if np.max(curve.residual) > 1e-6:
+    if not np.max(curve.residual) <= 1e-6:
         raise NotHorizontalError(
             f"curve residual {np.max(curve.residual):.3e} too large for line integral"
         )
@@ -142,7 +135,7 @@ def line_integral(rho, curve, with_error: bool = False):
 
     full = simpson(1)
     out = (full, np.abs(full - simpson(2)) / 15.0) if with_error else (full,)
-    if isinstance(curve, HorizontalCurve):
+    if np.ndim(curve.residual) == 0:
         out = tuple(float(v[0]) for v in out)
     return out if with_error else out[0]
 
@@ -151,7 +144,7 @@ def line_integral(rho, curve, with_error: bool = False):
 
 
 def _lift(xi, beta, phi, dxi, dbeta, dphi, ps, dps):
-    """The CurveFamily fields after ``tau`` of the curves with the given tilde
+    """The HorizontalCurve fields after ``tau`` of the curves with the given tilde
     samples, from the p* pair at beta: Phi and its tangent, their residual,
     then the tilde samples themselves."""
     z, t, dz, dt = revcoords.phi_map_tangent(xi, phi, dxi, dbeta, dphi, ps, dps)
@@ -161,7 +154,7 @@ def _lift(xi, beta, phi, dxi, dbeta, dphi, ps, dps):
 def quasiradial(ring, beta, phi0, n: int = DEFAULT_RESOLUTION):
     """The horizontal curve xi -> Phi(xi, beta, phi0 + tan(beta) xi) across the ring.
 
-    Arrays ``beta`` and ``phi0``, broadcast together, give the CurveFamily of
+    Arrays ``beta`` and ``phi0``, broadcast together, give the family of
     one curve per pair, in their flattened order; p* is evaluated once per
     distinct beta.
     """
@@ -174,13 +167,13 @@ def quasiradial(ring, beta, phi0, n: int = DEFAULT_RESOLUTION):
     ps, dps = (v[row, None] for v in revcoords.pstar_pair(ring.profile, distinct))
     tb = np.array([math.tan(b) for b in distinct])[row, None]
     full = functools.partial(np.broadcast_to, shape=(betas.size, n + 1))
-    fam = CurveFamily(xi, *_lift(full(xi), full(betas[:, None]), phis[:, None] + tb * xi,
-                                 full(1.0), full(0.0), full(tb), ps, dps))
+    fam = HorizontalCurve(xi, *_lift(full(xi), full(betas[:, None]), phis[:, None] + tb * xi,
+                                     full(1.0), full(0.0), full(tb), ps, dps))
     return fam if np.ndim(beta) or np.ndim(phi0) else fam[0]
 
 
 def quasiradial_family(ring, n_beta: int = 64, n_phi: int = 64,
-                       n: int = FAMILY_RESOLUTION) -> CurveFamily:
+                       n: int = FAMILY_RESOLUTION) -> HorizontalCurve:
     """Quasiradials on a regular interior (beta, phi) grid, beta-major."""
     betas = BETA_LO + (BETA_HI - BETA_LO) * (np.arange(1, n_beta + 1)) / (n_beta + 1)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -221,7 +214,7 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
     is a low-order random Fourier path kept inside the safe band; phi comes
     from integrating the horizontality condition. The curve is a pure function
     of its seed (its own counter-based Philox stream). A 1-D array of seeds
-    gives the CurveFamily whose row i is the curve of seed[i], built in chunks
+    gives the family whose row i is the curve of seed[i], built in chunks
     of whole curves with one p* call each.
     """
     seeds = np.atleast_1d(seed)
@@ -248,18 +241,19 @@ def random_horizontal_curve(ring, seed, n: int = DEFAULT_RESOLUTION):
         beta = center[k, None] + np.sum(dc * sin_jt + ds * cos_jt, axis=1)
         dbeta = np.sum(dc * math.pi * j * cos_jt - ds * math.pi * j * sin_jt, axis=1)
         ps, dps = revcoords.pstar_pair(ring.profile, beta)
-        dphi = revcoords.horizontality_rhs(ring.profile, beta, dxi, dbeta, pstar=(ps, dps))
+        dphi = revcoords.horizontality_rhs(beta, dxi, dbeta, ps, dps)
         phi = phi0[k, None] + scipy.integrate.cumulative_simpson(
             dphi, dx=1.0 / (REFINE * n), initial=0.0)
         rows = _lift(xi, beta[sel], phi[sel], dxi[sel], dbeta[sel], dphi[sel], ps[sel], dps[sel])
         cols = cols or [np.empty((seeds.size, *v.shape[1:]), v.dtype) for v in rows]
         for col, v in zip(cols, rows):
             col[k] = v
-    fam = CurveFamily(tau[::REFINE], *cols)
+    fam = HorizontalCurve(tau[::REFINE], *cols)
     return fam if np.ndim(seed) else fam[0]
 
 
-def random_family(ring, count: int, seed0: int = 0, n: int = FAMILY_RESOLUTION) -> CurveFamily:
+def random_family(ring, count: int, seed0: int = 0,
+                  n: int = FAMILY_RESOLUTION) -> HorizontalCurve:
     """The ``count`` random curves of seeds seed0, seed0 + 1, ... as one family."""
     return random_horizontal_curve(ring, np.arange(seed0, seed0 + count), n)
 

@@ -18,10 +18,6 @@ class HPoint:
     z: complex
     t: float
 
-    def __iter__(self):
-        yield self.z
-        yield self.t
-
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -86,12 +82,6 @@ def left_translation(g: HPoint) -> Similarity:
 def rotation(theta: float) -> Similarity:
     phase = complex(math.cos(theta), math.sin(theta))
     return lambda p: HPoint(p.z * phase, p.t)
-
-
-def dilation(delta: float) -> Similarity:
-    if not delta > 0.0:
-        raise ValueError(f"dilation factor must be positive, got {delta}")
-    return lambda p: dilate(delta, p)
 
 
 def inversion() -> Similarity:

@@ -19,7 +19,6 @@ import numpy as np
 from . import curves as curves_mod
 from . import revcoords
 from . import surface as surface_mod
-from .heis import HPoint
 from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, ValidationError,
                        band_atan2, clip_to_band, reparam_by_argument, uniform_cell, validate)
 
@@ -138,10 +137,6 @@ def rho0_values(ring: RevolutionRing, z, t, closed: bool = True,
     return np.where(inside, vals, 0.0)
 
 
-def rho0(ring: RevolutionRing, p: HPoint) -> float:
-    return float(rho0_values(ring, p.z, p.t))
-
-
 def rho0_density(ring: RevolutionRing) -> Callable:
     """rho0 of the ring as a plain vectorized callable rho(z, t)."""
     return lambda z, t: rho0_values(ring, z, t)
@@ -217,7 +212,7 @@ class AdmissibilityReport:
 
 
 def admissibility_report(ring: RevolutionRing,
-                         family: curves_mod.CurveFamily) -> AdmissibilityReport:
+                         family: curves_mod.HorizontalCurve) -> AdmissibilityReport:
     """rho0 line integrals over a family; pass iff min >= 1 - ADMISSIBILITY_SLACK."""
     vals = curves_mod.line_integral(rho0_density(ring), family)
     span = (float(np.min(vals)), float(np.max(vals))) if vals.size else (0.0, 1.0)
@@ -303,26 +298,26 @@ def restricted_oracle(ring: RevolutionRing, n_bins: int, seed: int = 0):
 # -- quasiradial angle ------------------------------------------------------------------
 
 
-def quasiradial_angle(ring: RevolutionRing, q: revcoords.RevPoint) -> float:
-    """Angle at Phi(q) between the quasiradial tangent and the leaf normal.
+def quasiradial_angle(ring: RevolutionRing, xi: float, beta: float, phi: float) -> float:
+    """Angle at Phi(xi, beta, phi) between the quasiradial tangent and the leaf normal.
 
     Computed two ways: from the inner product of the horizontal tangent with
     the horizontal normal of the leaf through the point, and from the closed
     form pi/2 - arg(dp*(beta)) + beta. The two must agree to 1e-9.
     """
-    if not (BETA_LO < q.beta < BETA_HI):
-        raise ValueError(f"beta {q.beta} outside the open band")
-    ps, dps = revcoords.pstar_pair(ring.profile, q.beta)
-    # horizontal tangent of the quasiradial through q: xi' = 1, beta' = 0, phi' = tan(beta)
-    dz = revcoords.phi_map_tangent(q.xi, q.phi, 1.0, 0.0, math.tan(q.beta), ps, dps)[2]
+    if not (BETA_LO < beta < BETA_HI):
+        raise ValueError(f"beta {beta} outside the open band")
+    ps, dps = revcoords.pstar_pair(ring.profile, beta)
+    # horizontal tangent of the quasiradial: xi' = 1, beta' = 0, phi' = tan(beta)
+    dz = revcoords.phi_map_tangent(xi, phi, 1.0, 0.0, math.tan(beta), ps, dps)[2]
     tangent = np.array([dz.real, dz.imag])
-    # horizontal normal of the leaf S_xi at q, the profile dilated by e^xi,
+    # horizontal normal of the leaf S_xi at the point, the profile dilated by e^xi,
     # which points as the undilated one does
-    normal = np.array(surface_mod.horizontal_normal_components(ring.profile, q.beta, q.phi))
+    normal = np.array(surface_mod.horizontal_normal_components(ring.profile, beta, phi))
 
     cos_num = float(tangent @ normal) / (
         float(np.hypot(*tangent)) * float(np.hypot(*normal)))
-    theta = math.pi / 2 - math.atan2(float(np.imag(dps)), float(np.real(dps))) + q.beta
+    theta = math.pi / 2 - math.atan2(float(np.imag(dps)), float(np.real(dps))) + beta
     theta = math.remainder(theta, 2.0 * math.pi)
     cos_closed = math.cos(theta)
     if abs(cos_num - cos_closed) > 1e-9:

@@ -11,7 +11,6 @@ over the ring box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -20,13 +19,6 @@ from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, band_atan2,
                        clip_to_band, koranyi_image, phase_rate)
 
 MAX_SUBDIVISIONS = 200  # cap on the adaptive cubature's region splits
-
-
-@dataclass(frozen=True)
-class RevPoint:
-    xi: float
-    beta: float
-    phi: float
 
 
 class IntegrationError(RuntimeError):
@@ -85,10 +77,8 @@ def jacobian(curve: ProfileCurve, xi, beta):
     return np.exp(4.0 * np.asarray(xi)) * np.abs(ps) ** 2
 
 
-def horizontality_rhs(curve: ProfileCurve, beta, dxi, dbeta, pstar=None):
-    """dphi demanded by the horizontality condition; ``pstar`` is the pair
-    (p*, dp*/dbeta) at ``beta`` when the caller already has it."""
-    ps, dps = pstar_pair(curve, np.asarray(beta)) if pstar is None else pstar
+def horizontality_rhs(beta, dxi, dbeta, ps, dps):
+    """dphi demanded by the horizontality condition, from the p* pair at beta."""
     return np.tan(np.asarray(beta)) * np.asarray(dxi) + phase_rate(ps, dps) * np.asarray(dbeta)
 
 

@@ -153,7 +153,7 @@ def test_06_horizontality(capsys, rings):
         xi, dxi = 0.3 * float(u), 0.3
         beta = math.pi + 0.4 * math.sin(float(u))
         dbeta = 0.4 * math.cos(float(u))
-        dphi = float(rc.horizontality_rhs(prof, beta, dxi, dbeta))
+        dphi = float(rc.horizontality_rhs(beta, dxi, dbeta, *rc.pstar_pair(prof, beta)))
         speed = float(rc.horizontal_speed(prof, xi, beta, dxi, dbeta))
         zp, _ = rc.phi_map_arrays(prof, xi + dxi * h, beta + dbeta * h, dphi * h)
         zm, _ = rc.phi_map_arrays(prof, xi - dxi * h, beta - dbeta * h, -dphi * h)
@@ -228,10 +228,9 @@ def test_09_quasiradial_angle(capsys, rings):
     rng = np.random.Generator(np.random.Philox(key=9))
     worst_k = 0.0
     for _ in range(50):
-        q = rc.RevPoint(float(rng.uniform(-1, 1)),
-                        float(rng.uniform(BETA_LO + 0.01, BETA_HI - 0.01)),
-                        float(rng.uniform(0, 2 * math.pi)))
-        theta = md.quasiradial_angle(rings["koranyi_sphere"], q)
+        q = (float(rng.uniform(-1, 1)), float(rng.uniform(BETA_LO + 0.01, BETA_HI - 0.01)),
+             float(rng.uniform(0, 2 * math.pi)))
+        theta = md.quasiradial_angle(rings["koranyi_sphere"], *q)
         worst_k = max(worst_k, min(abs(theta), abs(abs(theta) - math.pi)))
 
     worst_cf = 0.0
@@ -240,7 +239,7 @@ def test_09_quasiradial_angle(capsys, rings):
         ring = rings[name]
         grid = np.linspace(BETA_LO, BETA_HI, 4098)[1:-1]  # validation grid
         for beta in grid[:: len(grid) // 200]:
-            theta = md.quasiradial_angle(ring, rc.RevPoint(0.0, float(beta), 0.0))
+            theta = md.quasiradial_angle(ring, 0.0, float(beta), 0.0)
             _, dps = rc.pstar_pair(ring.profile, float(beta))
             want = abs(math.sin(math.atan2(dps.imag, dps.real) - float(beta)))
             worst_cf = max(worst_cf, abs(abs(math.cos(theta)) - want))

@@ -302,6 +302,8 @@ def test_geometry_csv_columns_describe_one_dilated_surface(tmp_path, capsys):
     ("geometry", "--surface", "koranyi", "--resolution", "0"),
     ("geometry", "--surface", "koranyi", "--resolution", "-3"),
     ("geometry", "--surface", "koranyi", "--flow", "1.0,0.0"),
+    ("geometry", "--surface", "koranyi", "--flow", "3.0,nan"),
+    ("geometry", "--surface", "koranyi", "--flow", "3.0,inf"),
     ("export-mesh", "--surface", "koranyi", "--ns", "0"),
     ("export-mesh", "--surface", "koranyi", "--nphi", "0"),
     ("export-mesh", "--surface", "koranyi", "--ns", "-2"),

@@ -129,12 +129,13 @@ def test_length_of_ambient_circle_lift_matches_speed():
 
 
 def test_line_integral_rejects_sloppy_curve():
-    bad = cv.HorizontalCurve(
-        tau=np.linspace(0, 1, 9), z=np.linspace(0, 1, 9) + 0j,
-        t=np.linspace(0, 1, 9), dz=np.ones(9) + 0j, dt=np.ones(9),
-        residual=1.0)
-    with pytest.raises(cv.NotHorizontalError):
-        cv.line_integral(lambda z, t: np.ones_like(t), bad)
+    for residual in (1.0, math.nan):  # nan fails every comparison, so must not pass
+        bad = cv.HorizontalCurve(
+            tau=np.linspace(0, 1, 9), z=np.linspace(0, 1, 9) + 0j,
+            t=np.linspace(0, 1, 9), dz=np.ones(9) + 0j, dt=np.ones(9),
+            residual=residual)
+        with pytest.raises(cv.NotHorizontalError):
+            cv.line_integral(lambda z, t: np.ones_like(t), bad)
 
 
 def test_line_integral_of_one_is_length():
@@ -390,12 +391,12 @@ def test_random_family_needs_a_curve():
 def test_array_parameters_give_families():
     seeds = np.array([3, 9, 4])
     fam = cv.random_horizontal_curve(RING_B, seeds, n=64)
-    assert isinstance(fam, cv.CurveFamily) and fam.z.shape == (3, 65)
+    assert isinstance(fam, cv.HorizontalCurve) and fam.z.shape == (3, 65)
     for i, seed in enumerate(seeds):
         assert _same(fam.z[i], cv.random_horizontal_curve(RING_B, int(seed), n=64).z)
     # beta and phi0 broadcast; repeated betas share one p* evaluation
     grid = cv.quasiradial(RING_B, [2.0, 2.5, 2.0], 0.7, n=32)
-    assert isinstance(grid, cv.CurveFamily) and grid.z.shape == (3, 33)
+    assert isinstance(grid, cv.HorizontalCurve) and grid.z.shape == (3, 33)
     assert _same(grid.z[0], grid.z[2])
     assert _same(grid.z[1], cv.quasiradial(RING_B, 2.5, 0.7, n=32).z)
 

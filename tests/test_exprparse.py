@@ -37,6 +37,12 @@ def test_transcendental_derivatives(s):
     assert d == pytest.approx(
         (math.sin(s) + math.cos(s)) * math.exp(s) + 1 / s, rel=1e-11)
     assert dd == pytest.approx(2 * math.cos(s) * math.exp(s) - 1 / s ** 2, rel=1e-10)
+    # tan, abs and a constant over an s-expression (Dual2.__rtruediv__)
+    sec2, sign = 1 / math.cos(s) ** 2, float(np.sign(s - 1))
+    for text, want in (("tan(s)", (math.tan(s), sec2, 2 * math.tan(s) * sec2)),
+                       ("abs(s - 1)", (abs(s - 1), sign, 0.0)),
+                       ("3/s", (3 / s, -3 / s ** 2, 6 / s ** 3))):
+        assert d2(text, s) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @given(st.floats(min_value=-1.2, max_value=1.2))

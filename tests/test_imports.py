@@ -1,4 +1,4 @@
-"""SciPy submodules load on first use, not on import.
+"""Every public name resolves, and SciPy submodules load on first use.
 
 Monte Carlo, the coordinate maps and `heisring validate` never need
 scipy.integrate, scipy.optimize or scipy.special, so a fresh interpreter that
@@ -42,6 +42,15 @@ assert not loaded, f"loaded before first use: {loaded}"
 numeric_modulus(rings[0])
 assert "scipy.integrate" in sys.modules, "numeric_modulus ran without scipy.integrate"
 """
+
+
+def test_public_names_resolve():
+    import heisring
+    missing = [name for name in heisring.__all__ if not hasattr(heisring, name)]
+    assert not missing, f"heisring.__all__ names missing: {missing}"
+    namespace: dict = {}
+    exec("from heisring import *", namespace)
+    assert set(heisring.__all__) <= namespace.keys()
 
 
 def test_scipy_submodules_load_on_first_use():

@@ -13,7 +13,6 @@ from heisring.heis import HPoint
 from heisring.profiles import (BETA_HI, BETA_LO, EvaluationError, ProfileCurve,
                                ValidationError, catalog, clip_to_band, parse_profile,
                                reparam_by_argument, validate)
-from heisring.revcoords import RevPoint
 
 RING = md.make_ring(catalog("koranyi_sphere", 1.0), 1.0, 2.0)
 RING_B = md.make_ring(catalog("bubble_set", 1.0), 1.0, 2.0)
@@ -85,15 +84,15 @@ def test_membership_koranyi():
 def test_rho0_koranyi_values():
     L = math.log(2.0)
     p = HPoint(1.5 + 0j, 0.0)
-    assert md.rho0(RING, p) == pytest.approx(1.0 / (L * 1.5))
-    assert md.rho0(RING, HPoint(5 + 0j, 0.0)) == 0.0
+    assert md.rho0_values(RING, p.z, p.t) == pytest.approx(1.0 / (L * 1.5))
+    assert md.rho0_values(RING, 5 + 0j, 0.0) == 0.0
     # vanishes on the vertical axis inside the ring
-    assert md.rho0(RING, HPoint(0j, 2.0)) == 0.0
+    assert md.rho0_values(RING, 0j, 2.0) == 0.0
 
 
 def test_rho0_rejects_origin():
     with pytest.raises(ValueError):
-        md.rho0(RING, HPoint(0j, 0.0))
+        md.rho0_values(RING, 0j, 0.0)
 
 
 def test_rho0_dilation_covariance():
@@ -101,8 +100,8 @@ def test_rho0_dilation_covariance():
     p = HPoint(1.2 + 0.3j, 0.4)
     big = md.make_ring(catalog("koranyi_sphere", 1.0), 1.0, 4.0)
     q = HPoint(2.0 * p.z, 4.0 * p.t)
-    a = md.rho0(big, p) * math.log(4.0)
-    b = md.rho0(big, q) * math.log(4.0) * 2.0
+    a = md.rho0_values(big, p.z, p.t) * math.log(4.0)
+    b = md.rho0_values(big, q.z, q.t) * math.log(4.0) * 2.0
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -346,10 +345,9 @@ def test_simplex_projection():
 def test_angle_zero_on_koranyi():
     rng = np.random.Generator(np.random.Philox(key=2))
     for _ in range(20):
-        q = RevPoint(float(rng.uniform(-1, 1)),
-                     float(rng.uniform(BETA_LO + 0.05, BETA_HI - 0.05)),
-                     float(rng.uniform(0, 2 * math.pi)))
-        theta = md.quasiradial_angle(RING, q)
+        q = (float(rng.uniform(-1, 1)), float(rng.uniform(BETA_LO + 0.05, BETA_HI - 0.05)),
+             float(rng.uniform(0, 2 * math.pi)))
+        theta = md.quasiradial_angle(RING, *q)
         assert min(abs(theta), abs(abs(theta) - math.pi)) < 1e-10
 
 
@@ -358,7 +356,7 @@ def test_angle_closed_form_agreement(ring):
     # the dual-route agreement check inside quasiradial_angle is the assertion
     from heisring import revcoords
     for beta in np.linspace(BETA_LO + 0.1, BETA_HI - 0.1, 15):
-        theta = md.quasiradial_angle(ring, RevPoint(0.2, float(beta), 1.0))
+        theta = md.quasiradial_angle(ring, 0.2, float(beta), 1.0)
         _, dps = revcoords.pstar_pair(ring.profile, float(beta))
         want = math.sin(math.atan2(dps.imag, dps.real) - float(beta))
         assert abs(math.cos(theta)) == pytest.approx(abs(want), abs=1e-9)

@@ -81,9 +81,9 @@ def test_horizontality_rhs_matches_contact_form(name):
     beta = rng.uniform(BETA_LO + 0.05, BETA_HI - 0.05, 100)
     dxi = rng.uniform(-2.0, 2.0, 100)
     dbeta = rng.uniform(-2.0, 2.0, 100)
-    dphi = revcoords.horizontality_rhs(curve, beta, dxi, dbeta)
-    # omega = e^(2 xi) (2 Im p* dxi + Im dp* dbeta - 2 Re p* dphi)
     ps, dps = revcoords.pstar_pair(curve, beta)
+    dphi = revcoords.horizontality_rhs(beta, dxi, dbeta, ps, dps)
+    # omega = e^(2 xi) (2 Im p* dxi + Im dp* dbeta - 2 Re p* dphi)
     omega = np.exp(2.0 * xi) * (2.0 * np.imag(ps) * dxi + np.imag(dps) * dbeta
                                 - 2.0 * np.real(ps) * dphi)
     assert np.max(np.abs(omega)) < 1e-9
@@ -111,7 +111,8 @@ def test_horizontal_speed_matches_ambient_finite_differences():
         # |dz| of the horizontal lift: modulus of the z-derivative is
         # independent of the phase, which drops out of |z' + i phi' z|
         z0, _ = revcoords.phi_map_arrays(curve, xi, beta, 0.0)
-        dphi = float(revcoords.horizontality_rhs(curve, beta, dxi, dbeta))
+        dphi = float(revcoords.horizontality_rhs(beta, dxi, dbeta,
+                                                 *revcoords.pstar_pair(curve, beta)))
         dz = (zp - zm) / (2 * h) + 1j * dphi * z0
         assert speed == pytest.approx(abs(complex(dz)), rel=1e-5)
 
