@@ -149,12 +149,13 @@ def analytic_modulus(a: float, b: float) -> float:
     return math.pi ** 2 / math.log(b / a) ** 3
 
 
-def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9) -> float:
+def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9, with_error: bool = False):
     """Integral of rho0^4 by quadrature in revolution coordinates.
 
     The density is evaluated through the ambient formula at Phi(xi, beta, phi)
     rather than through its simplified pullback, so this route is independent
-    of the closed-form computation it is checked against.
+    of the closed-form computation it is checked against. ``with_error``
+    returns (value, error estimate, subdivisions), as integrate_over_box does.
     """
     prof = ring.profile
 
@@ -162,7 +163,8 @@ def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9) -> float:
         z, t = revcoords.phi_map_arrays(prof, xi, beta, math.pi)
         return rho0_values(ring, z, t) ** 4
 
-    return revcoords.integrate_over_box(prof, f, (math.log(ring.a), math.log(ring.b)), tol=tol)
+    return revcoords.integrate_over_box(prof, f, (math.log(ring.a), math.log(ring.b)), tol=tol,
+                                        with_error=with_error)
 
 
 MC_CHUNK = 2 ** 16  # points per rho0_values call; bounds the per-point working set
@@ -174,8 +176,11 @@ def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
 
     Uniform rejection sampling over a bounding box of the outer shell in
     Cartesian coordinates; completely independent of revolution coordinates.
-    The density is evaluated MC_CHUNK samples at a time.
+    The density is evaluated MC_CHUNK samples at a time. Raises ValueError for
+    n < 2, which has no standard error.
     """
+    if n < 2:
+        raise ValueError(f"mc_modulus needs n >= 2 samples, got {n}")
     beta_grid = np.linspace(BETA_LO + EDGE_OFFSET, BETA_HI - EDGE_OFFSET, 20001)
     ps, _ = revcoords.pstar_pair(ring.profile, beta_grid)
     zmax = 1.0001 * ring.b * float(np.sqrt(np.max(np.real(-ps))))
@@ -335,7 +340,7 @@ def modulus_report(ring: RevolutionRing, surface_name: str,
                    oracle_bins: int = 0, tol: float = 1e-9) -> dict:
     """JSON-ready summary used by the command line front end."""
     analytic = analytic_modulus(ring.a, ring.b)
-    numeric = numeric_modulus(ring, tol=tol)
+    numeric, quad_error, subdivisions = numeric_modulus(ring, tol=tol, with_error=True)
     report: dict = {
         "surface": surface_name,
         "a": ring.a,
@@ -343,6 +348,8 @@ def modulus_report(ring: RevolutionRing, surface_name: str,
         "analytic": analytic,
         "numeric": numeric,
         "rel_err": abs(numeric - analytic) / analytic,
+        "quad_error": quad_error,
+        "quad_subdivisions": subdivisions,
     }
     if curve_count > 0:
         family = curves_mod.random_family(ring, curve_count, seed0=seed)

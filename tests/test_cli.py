@@ -99,9 +99,11 @@ def test_modulus_json_schema(capsys):
     assert code == 0
     payload = json.loads(out)
     assert list(payload) == ["surface", "a", "b", "analytic", "numeric",
-                             "rel_err"]
+                             "rel_err", "quad_error", "quad_subdivisions"]
     assert payload["analytic"] == pytest.approx(29.636257682862013)
     assert payload["rel_err"] <= 1e-8
+    assert 0.0 <= payload["quad_error"] <= 1e-9 * payload["numeric"]
+    assert payload["quad_subdivisions"] == 0
 
 
 @pytest.mark.parametrize("extra, ran", [((), 0), (("--curves", "3"), 3)])

@@ -1,8 +1,9 @@
 """Every public name resolves, and SciPy submodules load on first use.
 
-Monte Carlo, the coordinate maps and `heisring validate` never need
+Monte Carlo, quadrature, the coordinate maps and `heisring validate` never need
 scipy.integrate, scipy.optimize or scipy.special, so a fresh interpreter that
-runs only them must not pay for importing those modules. The check runs in a
+runs only them must not pay for importing those modules; a line integral, which
+uses Simpson's rule, loads scipy.integrate. The check runs in a
 subprocess because the test session itself has long since loaded them.
 """
 
@@ -19,8 +20,8 @@ import contextlib, io, sys
 import numpy as np
 
 import heisring
-from heisring import cli, revcoords
-from heisring.modulus import make_ring, mc_modulus, numeric_modulus
+from heisring import cli, curves, revcoords
+from heisring.modulus import make_ring, mc_modulus, numeric_modulus, rho0_density
 from heisring.profiles import CATALOG_NAMES, catalog
 
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special")
@@ -33,14 +34,15 @@ for ring in rings:
     z, t = revcoords.phi_map_arrays(ring.profile, xi, beta, phi)
     back = revcoords.phi_inv_arrays(ring.profile, z, t)
     assert np.allclose(np.stack(back), np.stack([xi, beta, phi]), atol=1e-9)
+    numeric_modulus(ring)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["validate", "--surface", "bubble"]) == 0
 
 loaded = [name for name in HEAVY if name in sys.modules]
 assert not loaded, f"loaded before first use: {loaded}"
 
-numeric_modulus(rings[0])
-assert "scipy.integrate" in sys.modules, "numeric_modulus ran without scipy.integrate"
+curves.line_integral(rho0_density(rings[0]), curves.quasiradial(rings[0], 3.0, 0.0))
+assert "scipy.integrate" in sys.modules, "line_integral ran without scipy.integrate"
 """
 
 

@@ -121,6 +121,32 @@ def test_numeric_modulus_matches_analytic(ring):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+# numeric_modulus at (1, 2) as float hex, the values of the scipy.integrate.cubature
+# GK21 loop that integrate_over_box replaced
+QUAD_1_2 = {"koranyi": "0x1.da2e1c893b899p+4", "bubble": "0x1.da2e1c893b8a1p+4",
+            "cc": "0x1.da2e1c893b89bp+4"}
+
+
+@pytest.mark.parametrize("name", sorted(QUAD_1_2))
+def test_numeric_modulus_is_pinned(name):
+    value, err, subdivisions = md.numeric_modulus(RINGS[name], with_error=True)
+    assert value.hex() == QUAD_1_2[name]
+    assert subdivisions == 0 and 0.0 <= err <= 1e-9 * value
+    assert md.numeric_modulus(RINGS[name]) == value
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0])
+def test_numeric_modulus_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        md.numeric_modulus(RING, tol=tol)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_mc_modulus_needs_two_samples(n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        md.mc_modulus(RING, n=n)
+
+
 def test_mc_modulus_within_stderr():
     value, stderr = md.mc_modulus(RING_B, n=200_000, seed=1)
     want = md.analytic_modulus(1.0, 2.0)
@@ -366,6 +392,7 @@ def test_report_schema():
     report = md.modulus_report(RING, "koranyi", curve_count=5, seed=0,
                                oracle_bins=8)
     assert list(report) == ["surface", "a", "b", "analytic", "numeric",
-                            "rel_err", "admissibility", "oracle"]
+                            "rel_err", "quad_error", "quad_subdivisions",
+                            "admissibility", "oracle"]
     assert list(report["admissibility"]) == ["n", "min", "mean"]
     assert list(report["oracle"]) == ["value", "max_dev_from_uniform"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisring import revcoords
-from heisring.profiles import BETA_HI, BETA_LO, catalog, reparam_by_argument
+from heisring.profiles import BETA_HI, BETA_LO, EDGE_OFFSET, catalog, reparam_by_argument
 
 KORANYI = catalog("koranyi_sphere", 1.0)
 BUBBLE = reparam_by_argument(catalog("bubble_set", 1.0))
@@ -144,6 +144,60 @@ def test_integrate_bubble_constant_matches_nested_quad():
     # so the cubature must subdivide; the value is that of nested 1-D quad
     val = revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, (0.0, 0.5))
     assert val == pytest.approx(756.6894735213466, rel=1e-9)
+
+
+def test_integrate_with_error_certifies_the_bubble_constant():
+    # the value, and the 105 splits, of the scipy.integrate.cubature GK21 loop
+    # this cubature replaced
+    val, err, subdivisions = revcoords.integrate_over_box(
+        BUBBLE, lambda *_: 1.0, (0.0, 0.5), with_error=True)
+    assert val.hex() == "0x1.7a5840ab1fdb5p+9"
+    assert subdivisions == 105
+    assert 0.0 < err <= 1e-9 * val
+    assert revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, (0.0, 0.5)) == val
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, math.inf])
+def test_integrate_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        revcoords.integrate_over_box(KORANYI, lambda *_: 1.0, (0.0, 0.5), tol=tol)
+
+
+XI_BOX = (0.25, 1.0)
+BETA_BOX = (BETA_LO + EDGE_OFFSET, BETA_HI - EDGE_OFFSET)
+
+
+def _tensor_moment(p, q):
+    """(relative error, relative error estimate, subdivisions) of
+    integrate_over_box for (u^p + 1)(v^q + 1) on the Koranyi box, where u and v
+    are xi and beta scaled to [-1, 1]; tol = 1 keeps the one first box."""
+    (x0, x1), (b0, b1) = XI_BOX, BETA_BOX
+    cx, hx, cb, hb = (x0 + x1) / 2, (x1 - x0) / 2, (b0 + b1) / 2, (b1 - b0) / 2
+
+    def f(xi, beta):  # |p*| = 1 on the sphere, so the Jacobian is e^(4 xi)
+        return (((xi - cx) / hx) ** p + 1) * (((beta - cb) / hb) ** q + 1) * np.exp(-4.0 * xi)
+
+    val, err, subdivisions = revcoords.integrate_over_box(KORANYI, f, XI_BOX, tol=1.0,
+                                                          with_error=True)
+    moment = [(1 + (-1) ** k) / (k + 1) + 2 for k in (p, q)]  # of u^k + 1 over [-1, 1]
+    want = 2.0 * math.pi * hx * hb * moment[0] * moment[1]
+    return val / want - 1.0, err / want, subdivisions
+
+
+def test_gk21_is_exact_to_degree_31_in_each_variable():
+    for p in range(32):
+        for q in range(32):
+            rel, _, subdivisions = _tensor_moment(p, q)
+            assert subdivisions == 0
+            assert abs(rel) < 1e-14, (p, q)
+    assert abs(_tensor_moment(32, 0)[0]) > 1e-12
+    assert abs(_tensor_moment(0, 32)[0]) > 1e-12
+
+
+def test_gauss_error_estimate_is_exact_to_degree_19_in_each_variable():
+    assert _tensor_moment(19, 19)[1] < 1e-14
+    assert _tensor_moment(20, 0)[1] > 1e-7
+    assert _tensor_moment(0, 20)[1] > 1e-7
 
 
 def test_integrate_nonintegrable_raises_within_cap():
