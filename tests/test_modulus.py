@@ -121,8 +121,8 @@ def test_numeric_modulus_matches_analytic(ring):
     assert got == pytest.approx(want, rel=1e-9)
 
 
-# numeric_modulus at (1, 2) as float hex, the values of the scipy.integrate.cubature
-# GK21 loop that integrate_over_box replaced
+# numeric_modulus at (1, 2) as float hex; scipy.integrate.cubature's GK21 loop
+# gives the same bits
 QUAD_1_2 = {"koranyi": "0x1.da2e1c893b899p+4", "bubble": "0x1.da2e1c893b8a1p+4",
             "cc": "0x1.da2e1c893b89bp+4"}
 
