@@ -154,9 +154,10 @@ def cmd_modulus(args) -> int:
             rows += [("oracle value", f"{oracle['value']:.12g}"),
                      ("oracle max dev from uniform", f"{oracle['max_dev_from_uniform']:.3e}")]
         _print_table(rows)
+    slack = modulus_mod.ADMISSIBILITY_SLACK
     failed = [name for name, ok in (
         ("rel_err", report["rel_err"] <= max(args.tol, 1e-8)),
-        ("admissibility", adm is None or adm["min"] >= 1.0 - modulus_mod.ADMISSIBILITY_SLACK),
+        ("admissibility", adm is None or (adm["min"] >= 1.0 - slack and adm["max_error"] <= slack)),
         ("oracle", oracle is None or oracle["max_dev_from_uniform"] <= ORACLE_DEV_TOL),
     ) if not ok]
     if failed:

@@ -101,7 +101,10 @@ def _gauge_terms(z, t):
     t = np.asarray(t, dtype=float)
     r4 = az ** 4 + t * t
     if np.any(r4 == 0.0):
-        raise ValueError("boundary ratio and rho0 are undefined at the group origin")
+        if np.all((az == 0.0) & (t == 0.0) | (r4 != 0.0)):
+            raise ValueError("boundary ratio and rho0 are undefined at the group origin")
+        raise ValueError("boundary ratio and rho0 are undefined where |z|^4 + t^2 "
+                         "underflows to 0, at a point off the group origin")
     return az, r4, r4 ** 0.25, band_atan2(t, -az * az)
 
 
@@ -154,17 +157,18 @@ def numeric_modulus(ring: RevolutionRing, tol: float = 1e-9, with_error: bool = 
 
     The density is evaluated through the ambient formula at Phi(xi, beta, phi)
     rather than through its simplified pullback, so this route is independent
-    of the closed-form computation it is checked against. ``with_error``
-    returns (value, error estimate, subdivisions), as integrate_over_box does.
+    of the closed-form computation it is checked against; Phi is formed from
+    the p* that integrate_over_box evaluates once per box and also hands to
+    the Jacobian. ``with_error`` returns (value, error estimate,
+    subdivisions), as integrate_over_box does.
     """
-    prof = ring.profile
 
-    def f(xi, beta):
-        z, t = revcoords.phi_map_arrays(prof, xi, beta, math.pi)
+    def f(xi, beta, ps):
+        z, t = revcoords.phi_map(xi, math.pi, ps)
         return rho0_values(ring, z, t) ** 4
 
-    return revcoords.integrate_over_box(prof, f, (math.log(ring.a), math.log(ring.b)), tol=tol,
-                                        with_error=with_error)
+    return revcoords.integrate_over_box(ring.profile, f, (math.log(ring.a), math.log(ring.b)),
+                                        tol=tol, with_error=with_error)
 
 
 MC_CHUNK = 2 ** 16  # points per rho0_values call; bounds the per-point working set
@@ -177,7 +181,8 @@ def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
     Uniform rejection sampling over a bounding box of the outer shell in
     Cartesian coordinates; completely independent of revolution coordinates.
     The density is evaluated MC_CHUNK samples at a time. Raises ValueError for
-    n < 2, which has no standard error.
+    n < 2, which has no standard error, and ArithmeticError when the value or
+    its standard error is not finite.
     """
     if n < 2:
         raise ValueError(f"mc_modulus needs n >= 2 samples, got {n}")
@@ -196,9 +201,12 @@ def mc_modulus(ring: RevolutionRing, n: int = 10 ** 6,
         j = slice(i, i + MC_CHUNK)
         sq = np.square(rho0_values(ring, x[j] + 1j * y[j], t[j], closed=False))
         np.square(sq, out=vals[j])  # rho0^4 by two squarings, as np.power is slow on zeros
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return volume * mean, volume * stderr
+    value = volume * float(np.mean(vals))
+    stderr = volume * float(np.std(vals, ddof=1) / math.sqrt(n))
+    if not math.isfinite(value) or not math.isfinite(stderr):
+        raise ArithmeticError(
+            f"Monte Carlo gave the non-finite value {value!r} with standard error {stderr!r}")
+    return value, stderr
 
 
 # -- admissibility ------------------------------------------------------------------
@@ -214,12 +222,15 @@ class AdmissibilityReport:
     mean: float
     histogram: tuple
     bin_edges: tuple
+    max_error: float  # largest Simpson error estimate of the line integrals
 
 
 def admissibility_report(ring: RevolutionRing,
                          family: curves_mod.HorizontalCurve) -> AdmissibilityReport:
-    """rho0 line integrals over a family; pass iff min >= 1 - ADMISSIBILITY_SLACK."""
-    vals = curves_mod.line_integral(rho0_density(ring), family)
+    """rho0 line integrals over a family, with the largest Simpson error
+    estimate; pass iff min >= 1 - ADMISSIBILITY_SLACK and max_error <=
+    ADMISSIBILITY_SLACK."""
+    vals, errors = curves_mod.line_integral(rho0_density(ring), family, with_error=True)
     span = (float(np.min(vals)), float(np.max(vals))) if vals.size else (0.0, 1.0)
     if span[1] - span[0] < 1e-9 * max(1.0, abs(span[0])):
         # degenerate range (e.g. all quasiradials give exactly 1)
@@ -231,6 +242,7 @@ def admissibility_report(ring: RevolutionRing,
         mean=float(np.mean(vals)) if vals.size else math.nan,
         histogram=tuple(int(h) for h in hist),
         bin_edges=tuple(float(e) for e in edges),
+        max_error=float(np.max(errors, initial=0.0)),
     )
 
 
@@ -354,7 +366,8 @@ def modulus_report(ring: RevolutionRing, surface_name: str,
     if curve_count > 0:
         family = curves_mod.random_family(ring, curve_count, seed0=seed)
         adm = admissibility_report(ring, family)
-        report["admissibility"] = {"n": adm.n, "min": adm.min, "mean": adm.mean}
+        report["admissibility"] = {"n": adm.n, "min": adm.min, "mean": adm.mean,
+                                   "max_error": adm.max_error}
     if oracle_bins > 0:
         value, h = restricted_oracle(ring, oracle_bins, seed=seed)
         uniform = 1.0 / ring.log_ratio

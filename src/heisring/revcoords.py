@@ -6,6 +6,9 @@ for a profile parametrized by its Koranyi argument beta. The module provides
 the forward and inverse maps, the Jacobian, the horizontality condition and
 horizontal speed in these coordinates, and change-of-variables integration
 over the ring box by an adaptive tensor-product Gauss-Kronrod cubature.
+``phi_map``, ``phi_map_tangent``, ``jacobian`` and ``horizontality_rhs`` take
+p* (and dp*/dbeta) from a caller that already holds them; the cubature
+evaluates p* once per box and shares it between its integrand and the Jacobian.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def pstar_pair(curve: ProfileCurve, beta):
     return koranyi_image(curve, beta)
 
 
-def _phi_map(xi, phi, ps):
+def phi_map(xi, phi, ps):
     """(z, t) = Phi(xi, beta, phi), from p* at beta."""
     return (np.exp(xi + 1j * np.asarray(phi)) * np.sqrt(np.real(-ps)),
             np.exp(2.0 * np.asarray(xi)) * np.imag(ps))
@@ -66,13 +69,13 @@ def _phi_map(xi, phi, ps):
 
 def phi_map_arrays(curve: ProfileCurve, xi, beta, phi):
     """Vectorized forward map; returns (z, t)."""
-    return _phi_map(xi, phi, pstar_pair(curve, beta)[0])
+    return phi_map(xi, phi, pstar_pair(curve, beta)[0])
 
 
 def phi_map_tangent(xi, phi, dxi, dbeta, dphi, ps, dps):
     """(z, t, dz, dt): Phi(xi, beta, phi) and its derivative along a path with
     derivatives (dxi, dbeta, dphi), from the p* pair at beta."""
-    z, t = _phi_map(xi, phi, ps)
+    z, t = phi_map(xi, phi, ps)
     # a named factor: numpy reuses a large temporary right operand in place as
     # the left one, and that swap changes the rounding of a complex product
     dlog_term = dxi + 1j * dphi + 0.5 * (np.real(-dps) * dbeta / np.real(-ps))
@@ -93,9 +96,8 @@ def phi_inv_arrays(curve: ProfileCurve, z, t):
     return xi, beta, phi
 
 
-def jacobian(curve: ProfileCurve, xi, beta):
-    """Jacobian determinant e^(4 xi) |p*(beta)|^2 of the forward map."""
-    ps, _ = pstar_pair(curve, beta)
+def jacobian(xi, ps):
+    """Jacobian determinant e^(4 xi) |p*(beta)|^2 of the forward map, from p* at beta."""
     return np.exp(4.0 * np.asarray(xi)) * np.abs(ps) ** 2
 
 
@@ -124,14 +126,16 @@ class _Region(tuple):
 
 def integrate_over_box(curve: ProfileCurve, f, xi_range: tuple[float, float],
                        tol: float = 1e-9, with_error: bool = False):
-    """Integral of a phi-independent f(xi, beta) against the coordinate Jacobian
-    over ``xi_range`` x the argument band x the full turn in phi.
+    """Integral of a phi-independent f(xi, beta, ps) against the coordinate
+    Jacobian over ``xi_range`` x the argument band x the full turn in phi.
 
     One adaptive product Gauss-Kronrod (GK21) cubature over (xi, beta); the
-    phi factor 2 pi is exact. Each box evaluates ``f`` and the Jacobian once,
-    on its 21 x 21 Kronrod grid passed as the broadcast pair ``xi[:, None]``,
-    ``beta[None, :]``, so p* is computed on 21 distinct beta; ``f``'s result is
-    broadcast against the grid, so a constant such as ``lambda *_: 1.0`` works.
+    phi factor 2 pi is exact. Each box evaluates p* once, on its 21 Kronrod
+    beta, and hands that array ``ps`` to both ``f`` and the Jacobian, each
+    called once on the 21 x 21 Kronrod grid as the broadcast pair
+    ``xi[:, None]``, ``beta[None, :]`` (``ps`` has the shape of the latter);
+    ``f``'s result is broadcast against the grid, so a constant such as
+    ``lambda *_: 1.0`` works.
     The box's error estimate is its Kronrod sum minus the 10-point Gauss sum
     read from the same grid. The box with the largest error is split into
     four until the summed error is at most ``tol`` times the summed estimate.
@@ -140,8 +144,9 @@ def integrate_over_box(curve: ProfileCurve, f, xi_range: tuple[float, float],
 
     Returns the integral, or with ``with_error`` the triple (integral, error
     estimate, subdivisions). Raises IntegrationError when MAX_SUBDIVISIONS
-    splits have not reached relative tolerance ``tol``, and ValueError when
-    ``xi_range`` is empty or ``tol`` is not positive and finite.
+    splits have not reached relative tolerance ``tol`` or when the integral or
+    its error estimate is not finite, and ValueError when ``xi_range`` is empty
+    or ``tol`` is not positive and finite.
     """
     if not xi_range[0] < xi_range[1]:
         raise ValueError(f"empty xi range {xi_range}")
@@ -150,7 +155,8 @@ def integrate_over_box(curve: ProfileCurve, f, xi_range: tuple[float, float],
 
     def box(lo, hi):
         xi, beta = ((_XK + 1) * ((b - a) * 0.5) + a for a, b in zip(lo, hi))
-        vals = f(xi[:, None], beta[None, :]) * jacobian(curve, xi[:, None], beta[None, :])
+        ps = pstar_pair(curve, beta[None, :])[0]
+        vals = f(xi[:, None], beta[None, :], ps) * jacobian(xi[:, None], ps)
         terms = _W2 * ((hi[0] - lo[0]) * (hi[1] - lo[1]) / 4) * np.concatenate(
             [vals.ravel(), vals[-2::-2, -2::-2].ravel()])
         return _Region((np.sum(terms[:441]), abs(np.sum(terms)), lo, hi))
@@ -174,4 +180,7 @@ def integrate_over_box(curve: ProfileCurve, f, xi_range: tuple[float, float],
             f"estimated cubature error {error:.3e} above tolerance for result {result:.6e} "
             f"(not_converged after {subdivisions} subdivisions)"
         )
+    if not math.isfinite(result) or not math.isfinite(error):
+        raise IntegrationError(
+            f"cubature gave the non-finite result {result!r} with error estimate {error!r}")
     return (result, error, subdivisions) if with_error else result

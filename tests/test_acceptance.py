@@ -123,7 +123,7 @@ def test_05_coordinate_system(capsys, rings):
 
             fd = abs(np.linalg.det(np.column_stack(
                 [col(1, 0, 0), col(0, 1, 0), col(0, 0, 1)])))
-            jac = float(rc.jacobian(prof, x0, b0))
+            jac = float(rc.jacobian(x0, rc.pstar_pair(prof, b0)[0]))
             worst_jac = max(worst_jac, abs(jac - fd) / fd)
     ok = worst_rt <= 1e-12 and worst_jac <= 1e-6
     report(capsys, 5, ok,

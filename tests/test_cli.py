@@ -177,6 +177,7 @@ def test_modulus_with_curves_and_oracle(capsys):
 @pytest.mark.parametrize("check, part", [
     ("admissibility", {"admissibility": {"n": 10, "min": 0.99, "mean": 1.2}}),
     ("oracle", {"oracle": {"value": 29.6, "max_dev_from_uniform": 1e-3}}),
+    ("admissibility", {"admissibility": {"n": 10, "min": 1.1, "mean": 1.2, "max_error": 2e-3}}),
 ])
 def test_modulus_exit_code_reflects_every_check(monkeypatch, capsys, check, part):
     # rel_err passes; the exit code must still report the failing check
@@ -203,6 +204,14 @@ def test_modulus_accepts_profiles_parametrized_by_argument(tmp_path, capsys, sou
                          "--curves", "50", "--json")
     assert code == 0, err
     assert json.loads(out.splitlines()[-1])["rel_err"] <= 1e-12
+
+
+# the overflow warnings numpy gives on the way are not under test
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_modulus_non_finite_result_is_a_computation_failure(capsys):
+    code, out, err = run(capsys, "modulus", "--surface", "koranyi", "--a", "1", "--b", "1e80")
+    assert (code, out) == (1, "")
+    assert err.startswith("computation failed: cubature gave the non-finite result nan")
 
 
 def test_modulus_reversed_bounds_usage_error(capsys):

@@ -95,6 +95,14 @@ def test_rho0_rejects_origin():
         md.rho0_values(RING, 0j, 0.0)
 
 
+def test_rho0_names_an_underflow_off_the_origin():
+    # |z|^4 + t^2 underflows to 0 at |z| = 1e-200, t = 0, which is not the origin
+    with pytest.raises(ValueError, match="underflows to 0, at a point off the group origin"):
+        md.rho0_values(RING, np.array([1e-200 + 0j, 1.0 + 0j]), np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="undefined at the group origin"):
+        md.rho0_values(RING, np.array([0j, 1e-200 + 0j]), np.array([0.0, 1.0]))
+
+
 def test_rho0_dilation_covariance():
     # rho0 is (-1)-homogeneous under dilations inside the ring
     p = HPoint(1.2 + 0.3j, 0.4)
@@ -145,6 +153,28 @@ def test_numeric_modulus_rejects_a_tolerance_that_is_not_positive(tol):
 def test_mc_modulus_needs_two_samples(n):
     with pytest.raises(ValueError, match="n >= 2"):
         md.mc_modulus(RING, n=n)
+
+
+# the overflow and underflow warnings numpy gives on the way are not under test
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a, b, result", [(1.0, 1e80, "nan"), (1e-80, 1.0, "inf")])
+def test_numeric_modulus_rejects_a_non_finite_result(a, b, result):
+    ring = md.make_ring(catalog("koranyi_sphere", 1.0), a, b)
+    with pytest.raises(rc.IntegrationError, match=f"non-finite result {result}"):
+        md.numeric_modulus(ring)
+
+
+def test_numeric_modulus_names_the_underflow_on_a_tiny_ring():
+    ring = md.make_ring(catalog("cc_sphere", 1.0), 1e-200, 1.0)
+    with pytest.raises(ValueError, match="underflows to 0, at a point off the group origin"):
+        md.numeric_modulus(ring)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_modulus_rejects_a_non_finite_result():
+    ring = md.make_ring(catalog("koranyi_sphere", 1.0), 1.0, 1e80)
+    with pytest.raises(ArithmeticError, match="non-finite value nan"):
+        md.mc_modulus(ring, n=1000)
 
 
 def test_mc_modulus_within_stderr():
@@ -338,6 +368,14 @@ def test_random_admissibility_above_one():
     assert sum(rep.histogram) == 40
 
 
+def test_admissibility_report_certifies_its_line_integrals():
+    fam = cv.random_family(RING_CC, 40, seed0=0, n=256)
+    rep = md.admissibility_report(RING_CC, fam)
+    vals, errors = cv.line_integral(md.rho0_density(RING_CC), fam, with_error=True)
+    assert (rep.min, rep.max_error) == (float(np.min(vals)), float(np.max(errors)))
+    assert 0.0 < rep.max_error <= md.ADMISSIBILITY_SLACK
+
+
 # -- restricted oracle ---------------------------------------------------------
 
 
@@ -394,5 +432,5 @@ def test_report_schema():
     assert list(report) == ["surface", "a", "b", "analytic", "numeric",
                             "rel_err", "quad_error", "quad_subdivisions",
                             "admissibility", "oracle"]
-    assert list(report["admissibility"]) == ["n", "min", "mean"]
+    assert list(report["admissibility"]) == ["n", "min", "mean", "max_error"]
     assert list(report["oracle"]) == ["value", "max_dev_from_uniform"]

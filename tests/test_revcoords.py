@@ -68,7 +68,7 @@ def test_jacobian_matches_finite_differences(name):
             (xyt(xi, beta, phi + h) - xyt(xi, beta, phi - h)) / (2 * h),
         ]
         fd = abs(np.linalg.det(np.column_stack(cols)))
-        jac = float(revcoords.jacobian(curve, xi, beta))
+        jac = float(revcoords.jacobian(xi, revcoords.pstar_pair(curve, beta)[0]))
         assert jac == pytest.approx(fd, rel=1e-6)
 
 
@@ -157,6 +157,41 @@ def test_integrate_with_error_certifies_the_bubble_constant():
     assert revcoords.integrate_over_box(BUBBLE, lambda *_: 1.0, (0.0, 0.5)) == val
 
 
+def test_integrate_evaluates_pstar_once_per_box(monkeypatch):
+    # the integrand and the Jacobian get the one p* array of their box
+    pstar_pair, jacobian = revcoords.pstar_pair, revcoords.jacobian
+    evaluated, handed = [], []
+
+    def counting_pstar_pair(curve, beta):
+        evaluated.append(pstar_pair(curve, beta))
+        return evaluated[-1]
+
+    def recording_jacobian(xi, ps):
+        handed.append(("jacobian", ps))
+        return jacobian(xi, ps)
+
+    def f(xi, beta, ps):
+        handed.append(("f", ps))
+        return 1.0
+    monkeypatch.setattr(revcoords, "pstar_pair", counting_pstar_pair)
+    monkeypatch.setattr(revcoords, "jacobian", recording_jacobian)
+    val, _, subdivisions = revcoords.integrate_over_box(BUBBLE, f, (0.0, 0.5), with_error=True)
+    assert subdivisions == 105
+    assert len(evaluated) == 1 + 4 * subdivisions
+    assert [who for who, _ in handed] == ["f", "jacobian"] * len(evaluated)
+    for (ps, _), (_, to_f), (_, to_jacobian) in zip(evaluated, handed[::2], handed[1::2]):
+        assert to_f is ps and to_jacobian is ps and ps.shape == (1, 21)
+    assert val.hex() == "0x1.7a5840ab1fdb5p+9"
+
+
+# an infinite integrand makes inf - inf in the error sum, which numpy warns of
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_integrate_rejects_a_non_finite_result(value):
+    with pytest.raises(revcoords.IntegrationError, match="non-finite result"):
+        revcoords.integrate_over_box(KORANYI, lambda *_: value, (0.0, 0.5))
+
+
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, math.inf])
 def test_integrate_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -174,7 +209,7 @@ def _tensor_moment(p, q):
     (x0, x1), (b0, b1) = XI_BOX, BETA_BOX
     cx, hx, cb, hb = (x0 + x1) / 2, (x1 - x0) / 2, (b0 + b1) / 2, (b1 - b0) / 2
 
-    def f(xi, beta):  # |p*| = 1 on the sphere, so the Jacobian is e^(4 xi)
+    def f(xi, beta, ps):  # |p*| = 1 on the sphere, so the Jacobian is e^(4 xi)
         return (((xi - cx) / hx) ** p + 1) * (((beta - cb) / hb) ** q + 1) * np.exp(-4.0 * xi)
 
     val, err, subdivisions = revcoords.integrate_over_box(KORANYI, f, XI_BOX, tol=1.0,
@@ -204,5 +239,5 @@ def test_integrate_nonintegrable_raises_within_cap():
     with pytest.raises(revcoords.IntegrationError,
                        match=f"not_converged after {revcoords.MAX_SUBDIVISIONS} "):
         revcoords.integrate_over_box(
-            KORANYI, lambda xi, beta: 1.0 / np.abs(beta - 3.0), (0.0, 0.5))
+            KORANYI, lambda xi, beta, ps: 1.0 / np.abs(beta - 3.0), (0.0, 0.5))
 
