@@ -142,7 +142,7 @@ def cmd_modulus(args) -> int:
         print(json.dumps(report))
     else:
         _header(**settings)
-        rows = [("surface", name), ("a", f"{args.a:g}"), ("b", f"{args.b:g}"),
+        rows = [("surface", name), ("a", f"{args.a:.15g}"), ("b", f"{args.b:.15g}"),
                 ("analytic", f"{report['analytic']:.12g}"),
                 ("numeric", f"{report['numeric']:.12g}"),
                 ("rel_err", f"{report['rel_err']:.3e}")]
@@ -165,14 +165,14 @@ def cmd_modulus(args) -> int:
     return 1 if failed else 0
 
 
-def _require_positive(args, *flags):
-    for flag in flags:
-        if not getattr(args, flag) > 0:
-            raise UsageError(f"--{flag} must be positive, got {getattr(args, flag):g}")
+def _require_at_least(args, **minimums):
+    for flag, least in minimums.items():
+        if not getattr(args, flag) >= least:
+            raise UsageError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
 
 
 def cmd_geometry(args) -> int:
-    _require_positive(args, "resolution")
+    _require_at_least(args, resolution=1)
     curve, name = _resolve_profile(args)
     lo, hi = curve.domain
     span = (lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo))
@@ -210,7 +210,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    _require_positive(args, "ns", "nphi")
+    _require_at_least(args, ns=2, nphi=3)  # fewer make a mesh with no faces or flat ones
     curve, name = _resolve_profile(args)
     out = args.out or f"{name.replace('/', '_')}.obj"
     obj_path, csv_path = surface_mod.export_mesh(curve, out, args.csv,

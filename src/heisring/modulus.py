@@ -23,7 +23,7 @@ from .profiles import (BETA_HI, BETA_LO, EDGE_OFFSET, ProfileCurve, ValidationEr
                        band_atan2, clip_to_band, reparam_by_argument, uniform_cell, validate)
 
 
-BRACKET_CELLS = 2 ** 12  # uniform beta cells of RevolutionRing.shell_bracket
+BRACKET_CELLS = 2 ** 11  # uniform beta cells of RevolutionRing.shell_bracket
 BRACKET_MARGIN = 1e-12  # relative rounding margin of the shell bracket
 
 
@@ -46,12 +46,17 @@ class RevolutionRing:
         return math.log(self.b / self.a)
 
     @cached_property
-    def shell_bracket(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds (lo, hi) of sqrt|p*(beta)| on BRACKET_CELLS uniform beta cells.
+    def shell_bracket(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Two levels of bounds of sqrt|p*(beta)| on BRACKET_CELLS uniform beta cells.
 
-        A cell spans its node values, with the |p*| range widened by the largest
-        log|p*| step of the cell and its neighbours, and by BRACKET_MARGIN. Edge
-        cells, and cells whose midpoint value falls outside, get (0, inf).
+        Level 1, (lo, hi): a cell spans its node values, with the |p*| range
+        widened by the largest log|p*| step of the cell and its neighbours, and
+        by BRACKET_MARGIN. Edge cells, and cells whose midpoint value falls
+        outside, get (0, inf). Level 2, (nodes, radius): over a cell, the cubic
+        through its four nearest nodes lies within radius times itself of
+        sqrt|p*|; radius is 4 x the largest relative midpoint misfit of those
+        cubics over the cell and its neighbours, plus BRACKET_MARGIN, and inf
+        in the edge cells.
         """
         beta = BETA_LO + math.pi * np.arange(2 * BRACKET_CELLS + 1) / (2 * BRACKET_CELLS)
         # the edge cells get (0, inf) whatever their outer nodes, so those sit
@@ -60,14 +65,18 @@ class RevolutionRing:
         # eight pstar_pair calls keep the by-argument evaluator's temporaries small
         s = np.sqrt(np.abs(np.concatenate([revcoords.pstar_pair(self.profile, b)[0]
                                            for b in np.array_split(beta, 8)])))
-        nodes, mids = s[::2], s[1::2]
+        nodes, mids = s[::2].copy(), s[1::2]  # a copy: the cached table keeps no s
         step = np.pad(np.abs(np.diff(np.log(nodes))), 1)  # half the log|p*| step
         widen = np.exp(np.maximum(np.maximum(step[:-2], step[1:-1]), step[2:]))
         lo = np.minimum(nodes[:-1], nodes[1:]) / widen / (1.0 + BRACKET_MARGIN)
         hi = np.maximum(nodes[:-1], nodes[1:]) * widen * (1.0 + BRACKET_MARGIN)
         loose = (mids < lo) | (mids > hi)
         loose[[0, -1]] = True
-        return np.where(loose, 0.0, lo), np.where(loose, np.inf, hi)
+        fit = (9.0 * (nodes[1:-2] + nodes[2:-1]) - nodes[:-3] - nodes[3:]) / 16.0
+        miss = np.pad(np.abs(fit / mids[1:-1] - 1.0), 2)  # cells 1 .. BRACKET_CELLS - 2
+        radius = 4.0 * np.maximum(np.maximum(miss[:-2], miss[1:-1]), miss[2:]) + BRACKET_MARGIN
+        radius[[0, -1]] = np.inf
+        return np.where(loose, 0.0, lo), np.where(loose, np.inf, hi), nodes, radius
 
 
 def make_ring(curve: ProfileCurve, a: float, b: float,
@@ -117,6 +126,18 @@ def boundary_ratio(ring: RevolutionRing, z, t):
     return _ratio(ring, *_gauge_terms(z, t)[2:])
 
 
+def _shell_fit(ring: RevolutionRing, beta, cell):
+    """Level 2 of the shell bracket: (fit, radius) with sqrt|p*(beta)| within
+    fit * (1 +- radius), where cell is beta's bracket cell."""
+    nodes, radius = ring.shell_bracket[2:]
+    u = (beta - BETA_LO) * (BRACKET_CELLS / math.pi) - cell  # in [0, 1] across the cell
+    k = np.clip(cell, 1, BRACKET_CELLS - 2)  # the edge cells' radius is inf
+    p, q = u * (u - 1.0), (u + 1.0) * (u - 2.0)  # the cubic through nodes k - 1 .. k + 2
+    fit = (p * ((u + 1.0) * nodes[k + 2] - (u - 2.0) * nodes[k - 1]) / 6.0
+           + q * ((u - 1.0) * nodes[k] - u * nodes[k + 1]) / 2.0)
+    return fit, radius[cell]
+
+
 def rho0_values(ring: RevolutionRing, z, t, closed: bool = True,
                 tol: float = 1e-9):
     """Vectorized extremal density (log(b/a))^-1 |z| (|z|^4+t^2)^(-1/2) X(ring).
@@ -127,15 +148,22 @@ def rho0_values(ring: RevolutionRing, z, t, closed: bool = True,
     """
     az, r4, gauge, beta = _gauge_terms(z, t)
     pad = tol if closed else -tol
-    lo, hi = ring.shell_bracket
+    lo, hi = ring.shell_bracket[:2]
     cell = uniform_cell(beta, BETA_LO, BETA_HI, BRACKET_CELLS)  # nan goes to a (0, inf) cell
     inside = np.asarray((gauge > ((ring.a - pad) * hi)[cell])
                         & (gauge < ((ring.b + pad) * lo)[cell]))
     check = ~(inside | (gauge < ((ring.a - pad) * lo)[cell])
               | (gauge > ((ring.b + pad) * hi)[cell]))
     if np.any(check):
-        ratio = _ratio(ring, gauge[check], beta[check])
-        inside[check] = (ratio > ring.a - pad) & (ratio < ring.b + pad)
+        g, b = gauge[check], beta[check]
+        fit, rad = _shell_fit(ring, b, cell[check])
+        fit_lo, fit_hi = fit * (1.0 - rad), fit * (1.0 + rad)
+        within = (g > (ring.a - pad) * fit_hi) & (g < (ring.b + pad) * fit_lo)
+        near = ~(within | (g < (ring.a - pad) * fit_lo) | (g > (ring.b + pad) * fit_hi))
+        if np.any(near):
+            ratio = _ratio(ring, g[near], b[near])
+            within[near] = (ratio > ring.a - pad) & (ratio < ring.b + pad)
+        inside[check] = within
     vals = az / np.sqrt(r4) / ring.log_ratio
     return np.where(inside, vals, 0.0)
 

@@ -214,6 +214,15 @@ def test_modulus_non_finite_result_is_a_computation_failure(capsys):
     assert err.startswith("computation failed: cubature gave the non-finite result nan")
 
 
+@pytest.mark.parametrize("a, b", [("1", "2"), ("1", "1.0000001"),
+                                  ("0.123456789012345", "2.5"), ("1e-05", "30000000")])
+def test_modulus_table_prints_a_and_b_so_they_read_back(capsys, a, b):
+    code, out, _ = run(capsys, "modulus", "--surface", "koranyi", "--a", a, "--b", b)
+    assert code == 0
+    rows = dict(ln.split() for ln in out.splitlines()[2:4])
+    assert rows == {"a": a, "b": b}
+
+
 def test_modulus_reversed_bounds_usage_error(capsys):
     code, _, err = run(capsys, "modulus", "--surface", "koranyi",
                        "--a", "2", "--b", "1")
@@ -318,6 +327,11 @@ def test_geometry_csv_columns_describe_one_dilated_surface(tmp_path, capsys):
     ("export-mesh", "--surface", "koranyi", "--ns", "0"),
     ("export-mesh", "--surface", "koranyi", "--nphi", "0"),
     ("export-mesh", "--surface", "koranyi", "--ns", "-2"),
+    # one ring of vertices has no faces; one or two phi columns give zero-area
+    # faces or a flat strip with every quad twice
+    ("export-mesh", "--surface", "koranyi", "--ns", "1"),
+    ("export-mesh", "--surface", "koranyi", "--nphi", "1"),
+    ("export-mesh", "--surface", "koranyi", "--nphi", "2"),
 ])
 def test_bad_geometry_and_mesh_flags_are_usage_errors(tmp_path, capsys, argv):
     # rejected before any file is written; koranyi's flow span excludes s0 = 1
@@ -327,6 +341,17 @@ def test_bad_geometry_and_mesh_flags_are_usage_errors(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error:") and stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_export_mesh_smallest_grid_has_faces(tmp_path, capsys):
+    out_path = tmp_path / "mesh.obj"
+    code, out, _ = run(capsys, "export-mesh", "--surface", "koranyi", "--ns", "2",
+                       "--nphi", "3", "--out", str(out_path))
+    assert code == 0 and out.splitlines()[0] == "# ns=2 nphi=3"
+    faces = [tuple(ln.split()[1:]) for ln in out_path.read_text().splitlines()
+             if ln.startswith("f ")]
+    assert len(faces) == len(set(faces)) == 6
+    assert all(len(set(f)) == 3 for f in faces)
 
 
 def test_export_mesh_default_grid(tmp_path, capsys):

@@ -12,7 +12,7 @@ from heisring import revcoords as rc
 from heisring.heis import HPoint
 from heisring.profiles import (BETA_HI, BETA_LO, EvaluationError, ProfileCurve,
                                ValidationError, catalog, clip_to_band, parse_profile,
-                               reparam_by_argument, validate)
+                               reparam_by_argument, uniform_cell, validate)
 
 RING = md.make_ring(catalog("koranyi_sphere", 1.0), 1.0, 2.0)
 RING_B = md.make_ring(catalog("bubble_set", 1.0), 1.0, 2.0)
@@ -283,7 +283,7 @@ def test_shell_bracket_holds_on_dense_betas(name, R):
     curve = (parse_profile(PARSED[name].format(R=R), name=name) if name in PARSED
              else catalog(name, R))
     ring = md.RevolutionRing(reparam_by_argument(curve), 1.0, 2.0)
-    lo, hi = ring.shell_bracket
+    lo, hi = ring.shell_bracket[:2]
     assert lo.shape == hi.shape == (md.BRACKET_CELLS,)
     assert np.count_nonzero(np.isinf(hi)) <= 8  # culling reaches almost every cell
     beta = BETA_LO + math.pi * (np.arange(2 ** 20) + 0.5) / 2 ** 20
@@ -294,6 +294,33 @@ def test_shell_bracket_holds_on_dense_betas(name, R):
         s = np.sqrt(np.abs(ps))
         c = cell[k:k + 2 ** 16]
         assert np.all(lo[c] * room <= s) and np.all(s * room <= hi[c])
+
+
+# the bubble's image under the Koranyi inversion, with F = 2 sin(s/2) and
+# G = 2 sin(s) - 2s + 2pi the bubble's f and g; its |p**| is least at the band edges
+BUBBLE_STAR = ("f = F/sqrt(F^4 + G^2); g = G/(F^4 + G^2); domain = (0, 2*pi)"
+               .replace("F", "(2*sin(s/2))").replace("G", "(2*sin(s) - 2*s + 2*pi)"))
+
+
+@pytest.mark.parametrize("name, R", [(name, R) for R in (0.5, 1.0, 3.0) for name in (
+    "koranyi_sphere", "bubble_set", "cc_sphere", "bubble", "tilted")] + [("bubble*", 1.0)])
+def test_shell_fit_holds_on_dense_betas(name, R):
+    curve = (parse_profile(BUBBLE_STAR, name=name) if name == "bubble*"
+             else parse_profile(PARSED[name].format(R=R), name=name) if name in PARSED
+             else catalog(name, R))
+    ring = md.RevolutionRing(reparam_by_argument(curve), 1.0, 2.0)
+    radius = ring.shell_bracket[3]
+    assert radius.shape == (md.BRACKET_CELLS,)
+    assert np.array_equal(np.flatnonzero(np.isinf(radius)), [0, md.BRACKET_CELLS - 1])
+    assert np.median(radius) < 3 * md.BRACKET_MARGIN  # tight on almost every cell
+    beta = BETA_LO + math.pi * (np.arange(2 ** 20) + 0.5) / 2 ** 20
+    cell = uniform_cell(beta, BETA_LO, BETA_HI, md.BRACKET_CELLS)
+    for k in range(0, 2 ** 20, 2 ** 16):
+        b, c = beta[k:k + 2 ** 16], cell[k:k + 2 ** 16]
+        s = np.sqrt(np.abs(rc.pstar_pair(ring.profile, clip_to_band(b))[0]))
+        fit, rad = md._shell_fit(ring, b, c)
+        inner = np.isfinite(rad)  # half the radius is left for rounding
+        assert np.all(np.abs(fit - s)[inner] <= (rad * fit)[inner] / 2)
 
 
 # beta'(s) stays bounded at both ends of these two profiles of the unit Koranyi
@@ -346,6 +373,66 @@ def test_inversion_maps_koranyi_ring_onto_reciprocal_ring():
     assert 0 < np.count_nonzero(before) < before.size
     assert np.array_equal(before, after)
     assert md.numeric_modulus(image) == pytest.approx(md.numeric_modulus(ring), rel=1e-12)
+
+
+def _invert(z, t, dz, dt):
+    """The Koranyi inversion (z / alpha, -t / |alpha|^2), alpha = -|z|^2 + it, of
+    samples (z, t) and its differential on their tangents (dz, dt)."""
+    alpha = -np.abs(z) ** 2 + 1j * t
+    dalpha = -2.0 * np.real(np.conj(z) * dz) + 1j * dt
+    n2 = np.abs(alpha) ** 2
+    return (z / alpha, -t / n2, dz / alpha - z * dalpha / alpha ** 2,
+            -dt / n2 + 2.0 * t * np.real(np.conj(alpha) * dalpha) / n2 ** 2)
+
+
+def test_inversion_maps_bubble_ring_onto_bubble_star_ring():
+    # inversion maps the ring (a, b) of S onto the ring (1/b, 1/a) of S*, whose
+    # |p**(beta)| = 1/|p*(2pi - beta)|; the bubble's symmetry absorbs the reversal
+    ring = md.make_ring(parse_profile(PARSED["bubble"].format(R=1)), 1.0, 2.0)
+    image = md.make_ring(parse_profile(BUBBLE_STAR), 0.5, 1.0)
+    assert md.numeric_modulus(image) == pytest.approx(md.numeric_modulus(ring), rel=1e-12)
+    rng = np.random.Generator(np.random.Philox(key=21))
+    z = rng.uniform(-6.0, 6.0, 4000) + 1j * rng.uniform(-6.0, 6.0, 4000)
+    t = rng.uniform(-36.0, 36.0, 4000)
+    ratio = md.boundary_ratio(ring, z, t)
+    keep = (np.abs(ratio / ring.a - 1.0) > 1e-9) & (np.abs(ratio / ring.b - 1.0) > 1e-9)
+    zi, ti, _, _ = _invert(z[keep], t[keep], 0.0, 0.0)
+    before = md.rho0_values(ring, z[keep], t[keep], tol=0.0) > 0
+    after = md.rho0_values(image, zi, ti, tol=0.0) > 0
+    assert 0 < np.count_nonzero(before) < before.size
+    assert np.array_equal(before, after)
+    # rho0 carries the inversion's conformal factor, so every line integral keeps its value
+    fam = cv.random_family(ring, 300)
+    zi, ti, dzi, dti = _invert(fam.z, fam.t, fam.dz, fam.dt)
+    images = cv.HorizontalCurve(fam.tau, zi, ti, dzi, dti, cv.contact_residual(zi, dzi, dti))
+    want = cv.line_integral(md.rho0_density(ring), fam)
+    got = cv.line_integral(md.rho0_density(image), images)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# points of mc_modulus(ring (1, 2), n=10**6, seed=0) that the shell bracket
+# leaves to the exact p* test: all within 1e-12 (relative) of a threshold, or
+# in an edge cell
+MC_EXACT_POINTS = {"koranyi": 591, "bubble": 952, "cc": 376}
+
+
+@pytest.mark.parametrize("name", sorted(MC_EXACT_POINTS))
+def test_shell_bracket_leaves_p_star_to_few_points(monkeypatch, name):
+    exact, ratio = [], md._ratio
+    monkeypatch.setattr(md, "_ratio", lambda ring, gauge, beta: (
+        exact.append(np.size(beta)), ratio(ring, gauge, beta))[1])
+    curve = catalog({"koranyi": "koranyi_sphere", "bubble": "bubble_set",
+                     "cc": "cc_sphere"}[name], 1.0)
+    for a, b in ((1.0, 2.0), (1.0, math.e), (0.5, 3.0)):  # as criterion 01
+        md.numeric_modulus(md.make_ring(curve, a, b))
+    ring = RINGS[name]
+    rho = md.rho0_density(ring)
+    for curve in cv.quasiradial_family(ring, n_beta=16, n_phi=16):
+        cv.line_integral(rho, curve)
+    md.admissibility_report(ring, cv.random_family(ring, 300))
+    assert sum(exact) == 0
+    md.mc_modulus(ring, n=10 ** 6, seed=0)
+    assert sum(exact) == MC_EXACT_POINTS[name]
 
 
 # -- admissibility -------------------------------------------------------------
